@@ -173,7 +173,9 @@ def replay_path(codeword, path: str) -> Violation | None:
     return None
 
 
-def _entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> list[Violation]:
+def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> list[Violation]:
+    """Every violation of one entry on its own: replay, weights, ratio floor
+    and, in strong mode, the pair's mutual non-prefixness."""
     out = []
     disp = entry.display
     want_paths = 2 if mode == STRONG else 1
@@ -206,6 +208,30 @@ def _entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> li
     return out
 
 
+def code_violations(codewords) -> list[Violation]:
+    """Whole-code checks: no codeword listed twice or a prefix of another,
+    and a Kraft sum of exactly 1 together with the reserved word (0)."""
+    out: list[Violation] = []
+    seen: set[tuple[int, ...]] = set()
+    for c in codewords:
+        if c in seen:
+            out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
+        seen.add(c)
+    words = sorted(seen)
+    for a, b in zip(words, words[1:]):
+        if b[: len(a)] == a:
+            out.append(Violation(
+                codeword_display(a), None, None,
+                f"prefix of fellow codeword {codeword_display(b)}"))
+
+    total = Fraction(1, 3) + sum(Fraction(1, POW3[len(c)]) for c in codewords)
+    if total != 1:
+        out.append(Violation(
+            None, None, None,
+            f"Kraft sum {total - Fraction(1, 3)} + 1/3 = {total} != 1 (code not exhaustive)"))
+    return out
+
+
 def verify(cert: Certificate) -> list[Violation]:
     """Full independent check of a certificate; returns every violation found.
 
@@ -220,26 +246,9 @@ def verify(cert: Certificate) -> list[Violation]:
         out.append(Violation(None, None, None, "certificate has no entries"))
         return out
 
-    seen: dict[tuple[int, ...], int] = {}
+    out.extend(code_violations([e.codeword for e in cert.entries]))
     for e in cert.entries:
-        if e.codeword in seen:
-            out.append(Violation(e.display, None, None, "duplicate codeword"))
-        seen[e.codeword] = 1
-    words = sorted(seen)
-    for a, b in zip(words, words[1:]):
-        if b[: len(a)] == a:
-            out.append(Violation(
-                codeword_display(a), None, None,
-                f"prefix of fellow codeword {codeword_display(b)}"))
-
-    total = cert.kraft_sum()
-    if total != 1:
-        out.append(Violation(
-            None, None, None,
-            f"Kraft sum {total - Fraction(1, 3)} + 1/3 = {total} != 1 (code not exhaustive)"))
-
-    for e in cert.entries:
-        out.extend(_entry_violations(e, cert.alpha, cert.mode))
+        out.extend(entry_violations(e, cert.alpha, cert.mode))
     return out
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: search, verify, max-alpha sweeps, trajectory
 reports, witness chains, tree dumps, and per-level statistics.
 
-Exit codes: 0 success, 1 invalid certificate, 2 search unclosed, 3 usage.
+Exit codes: 0 success, 1 invalid certificate (read, or about to be
+written), 2 search unclosed, 3 usage or unusable input such as a checkpoint
+that cannot be resumed.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuted(cert) -> bool:
+    """Verify a certificate about to be written; print why it fails, if it does."""
+    violations = verify(cert)
+    for v in violations:
+        print(f"invalid: {v}")
+    return bool(violations)
+
+
 def _cmd_search(args) -> int:
     mode = STRONG if args.strong else PLAIN
     if args.max_weight > UNGUARDED_MAX_WEIGHT and not args.force:
@@ -109,6 +119,8 @@ def _cmd_search(args) -> int:
             best = f"{ratio.numerator}/{ratio.denominator}" if ratio else "?"
             print(f"open {codeword_display(codeword)} best-ratio {best}")
         return EXIT_UNCLOSED
+    if _refuted(outcome):
+        return EXIT_INVALID
     text = outcome.to_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -151,6 +163,8 @@ def _cmd_max_alpha(args) -> int:
     mode = STRONG if args.strong else PLAIN
     sweep = SweepState(mode=mode, workers=args.workers)
     alpha, cert = sweep.level(args.level)
+    if _refuted(cert):
+        return EXIT_INVALID
     print(f"{alpha.numerator}/{alpha.denominator} {cert.size} "
           f"{args.level} {cert.max_depth()}")
     if args.out:

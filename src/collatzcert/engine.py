@@ -26,9 +26,11 @@ from .certify import (
     Unclosed,
     _parse_entry,
     _parse_header,
+    code_violations,
+    entry_violations,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import GrowthRecord, find_companion, grow_record, path_str
+from .tree import GrowthRecord, best_ratio, find_companion, grow_record, path_str
 
 INITIAL_CODEWORDS = tuple(
     (i, j) for i in (1, 2) for j in (0, 1, 2)
@@ -157,9 +159,8 @@ def _depth_cap(level: int, alpha: Fraction) -> int:
 
 
 def _analyze(args) -> GrowthRecord:
-    codeword, cap, want, collect, prune = args
-    return grow_record(codeword, cap, want, collect_companions=collect,
-                       prune=prune)
+    codeword, cap, want = args
+    return grow_record(codeword, cap, want)
 
 
 def _close_decision(
@@ -207,6 +208,17 @@ class _KraftLedger:
                 f"Kraft invariant broken: sum = {Fraction(self.total, self.scale)}")
 
 
+def _check_resumable(state: CheckpointState, path) -> None:
+    """Refuse a checkpoint whose codewords do not form an exhaustive prefix
+    code, or whose closed entries would not verify at its ratio and mode."""
+    words = [*state.open_codewords, *(e.codeword for e in state.closed)]
+    problems = code_violations(words)
+    for e in state.closed:
+        problems.extend(entry_violations(e, state.alpha, state.mode))
+    if problems:
+        raise ValueError(f"checkpoint {path}: {problems[0]}")
+
+
 def run(
     alpha: Fraction,
     max_weight: int,
@@ -237,8 +249,8 @@ def run(
         raise ValueError("workers must be >= 1")
 
     want = 2 if mode == STRONG else 1
-    # companion collection above ratio 1/2 is only sound on unpruned trees;
-    # the caps are tiny there, so the cost is acceptable
+    # strong mode above ratio 1/2 reports a stuck codeword's best ratio over
+    # the unpruned tree, the one its companions are drawn from
     prune = mode == PLAIN or 2 * alpha.numerator <= alpha.denominator
     open_by_level: dict[int, list[tuple[int, ...]]] = {}
     closed: list[CertificateEntry] = []
@@ -253,6 +265,7 @@ def run(
                 f"checkpoint {checkpoint_path} was taken at "
                 f"alpha={state.alpha} mode={state.mode}, refusing to resume "
                 f"at alpha={alpha} mode={mode}")
+        _check_resumable(state, checkpoint_path)
         for c in state.open_codewords:
             open_by_level.setdefault(len(c) - 1, []).append(c)
         closed = list(state.closed)
@@ -290,14 +303,11 @@ def run(
                 todo = []
                 for item in chunk:
                     rec = cache.get(item.codeword) if cache is not None else None
-                    if rec is not None and rec.usable_for(cap, want) and (
-                        mode == PLAIN or rec.companions is not None
-                    ) and rec.pruned == prune:
+                    if rec is not None and rec.usable_for(cap, want):
                         records.append(rec)
                     else:
                         records.append(None)
-                        todo.append((item.codeword, item.depth_cap, want,
-                                     mode == STRONG, prune))
+                        todo.append((item.codeword, item.depth_cap, want))
                 if todo:
                     if pool is not None and not serial_fallback and len(todo) > 1:
                         fresh = pool.map(_analyze, todo)
@@ -321,7 +331,7 @@ def run(
                         closed.append(CertificateEntry(codeword=c, paths=paths))
                         kraft.add(len(c))
                     elif level >= max_weight:
-                        stuck.append((c, rec.best_ratio()))
+                        stuck.append((c, best_ratio(c, cap, want, prune)))
                         kraft.add(len(c))
                     else:
                         children = [c + (d,) for d in (0, 1, 2)]

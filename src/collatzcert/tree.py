@@ -3,9 +3,14 @@
 A codeword of length l+1 names a residue class mod 3^(l+1) and roots a tree
 grown by the pruned inverse map.  Each 1-edge costs one level of modulus
 knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
-reaching weight l (m=1) is frozen as a witness leaf.  Growth is breadth-first
-and frontier-only: a node at depth d with weight w is pruned as soon as
-w + (cap - d) < l, since no extension of it can reach weight l in time.
+reaching weight l (m=1) is frozen as a witness leaf.  Growth is a depth-first
+search for the first witness leaves: what lies below a node depends only on
+its class mod 3^m, a leaf is at least m-1 edges below it, and the first two
+leaves below every class with m <= 10 are memoised in tables that all
+growths share.  ``nodes_expanded`` counts search steps and
+``frontier_peak`` is the deepest search stack.  ``walk_nodes`` is the
+breadth-first enumeration of the same pruned tree, for dumps, stuck reports
+and tests.
 
 Also provides explicitly stored trees over integers and over residues for
 structure comparison, and the structure census over all codewords of a
@@ -14,8 +19,10 @@ given length.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numth import (
     BRANCHING_MOD9,
@@ -40,28 +47,36 @@ def path_bits(s: str) -> tuple[int, int]:
     return (int(s, 2) if s else 0, len(s))
 
 
+# Classes known mod 3^m for m <= TABLE_MAX_EXPONENT get their first two
+# leaves memoised.  For m <= 10 the second leaf lies at most 23 edges below
+# its class, well inside the 61 that a signed 64-bit slot can hold.
+TABLE_MAX_EXPONENT = 10
+_TABLE_KEY_LIMIT = 1 << 62
+
+# _leaf_tables[m][2v] and [2v + 1] are the relative keys of the first two
+# leaves below the class v mod 3^m, or 0 while not yet computed.  They are a
+# fixed function of the class, so every growth in the process shares them.
+_leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
+
+
 @dataclass
 class GrowthRecord:
-    """Everything one growth pass learned about a codeword's tree.
+    """What one growth learned about a codeword's tree.
 
-    ``witnesses`` holds the first (up to two) weight-l leaves in canonical
-    order (depth, then lexicographic).  ``companions`` maps (depth, weight)
-    to the two lexicographically least non-witness paths seen there; it is
-    only populated when requested.  Levels 0..complete_to were expanded in
-    full, so answers about shallower caps can be read off without regrowth.
+    ``witnesses`` holds the first ``want`` weight-l leaves within ``cap`` in
+    canonical order (depth, then lexicographic), as (depth, packed path).
+    Fewer than ``want`` means there are no more within the cap; ``want`` of
+    them are the first ``want`` leaves at any depth.  ``nodes_expanded``
+    counts search steps (positions visited along 0-edge chains, table fills
+    excluded) and ``frontier_peak`` is the deepest search stack.
     """
 
     codeword: tuple[int, ...]
     cap: int
-    complete_to: int
-    exhausted: bool
+    want: int
     witnesses: list[tuple[int, int]]          # (depth, packed path)
-    companions: dict[tuple[int, int], list[int]] | None
-    best_num: int                             # best weight/depth ratio seen,
-    best_den: int                             # as an unreduced integer pair
     nodes_expanded: int
     frontier_peak: int
-    pruned: bool = True
 
     @property
     def level(self) -> int:
@@ -72,31 +87,19 @@ class GrowthRecord:
 
     def usable_for(self, cap: int, want: int) -> bool:
         """Can queries at this cap be answered without regrowing?"""
-        if cap <= self.complete_to:
-            return True
-        if self.exhausted and cap <= self.cap:
-            return True
-        return len(self.witnesses_within(cap)) >= want
-
-    def best_ratio(self) -> Fraction | None:
-        if self.best_num == 0:
-            return None
-        return Fraction(self.best_num, self.best_den)
+        return want <= self.want and (
+            cap <= self.cap or len(self.witnesses) >= want)
 
 
-def grow_record(
-    codeword,
-    depth_cap: int,
-    want_witnesses: int = 1,
-    collect_companions: bool = False,
-    prune: bool = True,
-) -> GrowthRecord:
-    """Breadth-first growth of the pruned tree rooted at a codeword.
+def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthRecord:
+    """Depth-first search for the first weight-l leaves of a codeword's tree.
 
-    Stops at the end of the first depth where ``want_witnesses`` weight-l
-    leaves have been frozen, or when the (pruned) frontier empties, or at
-    depth_cap.  The frontier is kept in lexicographic path order throughout,
-    so witnesses and companion candidates come out canonically ordered.
+    A node at depth d with path p is packed as the key (1 << d) | p, so keys
+    order by depth and then lexicographically by path.  From each class the
+    search walks the 0-edge chain v -> 2v mod 3^m and descends every 1-edge
+    it meets, keeping the ``want_witnesses`` smallest leaf keys of depth at
+    most depth_cap.  A leaf below a class known mod 3^m is at least m-1
+    edges away, which ends every chain at the cap or at the worst leaf kept.
     """
     c = check_codeword(codeword)
     if len(c) < 2:
@@ -108,88 +111,84 @@ def grow_record(
     if want_witnesses not in (1, 2):
         raise ValueError("want_witnesses must be 1 or 2")
 
-    level1 = len(c)                      # l + 1; root modulus exponent
-    pow3 = POW3
-    values = [codeword_value(c)]
-    mods = [level1]
-    paths = [0]
-    witnesses: list[tuple[int, int]] = []
-    table: dict[tuple[int, int], list[int]] | None = {} if collect_companions else None
-    nodes = 0
-    peak = 1
-    best_num, best_den = 0, 1
-    d = 0
-    exhausted = False
-
-    while d < depth_cap and len(witnesses) < want_witnesses:
-        d += 1
-        slack = depth_cap - d if prune else level1
-        nv: list[int] = []
-        nm: list[int] = []
-        np_: list[int] = []
-        min_m = level1 + 1
-        wit_level = 0
-        for v, m, p in zip(values, mods, paths):
-            two_v = v + v
-            if m - 1 <= slack:
-                nv.append(two_v % pow3[m])
-                nm.append(m)
-                np_.append(p + p)
-                if m < min_m:
-                    min_m = m
-                if table is not None and m < level1:
-                    key = (d, level1 - m)
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [p + p]
-                    elif len(bucket) < 2:
-                        bucket.append(p + p)
-            r = v % 9
-            if r == 2 or r == 8:
-                m1 = m - 1
-                child = ((two_v - 1) // 3) % pow3[m1]
-                p1 = p + p + 1
-                if m1 == 1:
-                    wit_level += 1
-                    if len(witnesses) < 2:
-                        witnesses.append((d, p1))
-                elif m1 - 1 <= slack:
-                    nv.append(child)
-                    nm.append(m1)
-                    np_.append(p1)
-                    if m1 < min_m:
-                        min_m = m1
-                    if table is not None:
-                        key = (d, level1 - m1)
-                        bucket = table.get(key)
-                        if bucket is None:
-                            table[key] = [p1]
-                        elif len(bucket) < 2:
-                            bucket.append(p1)
-        values, mods, paths = nv, nm, np_
-        nodes += len(nv) + wit_level
-        if len(nv) > peak:
-            peak = len(nv)
-        level_w = level1 - 1 if wit_level else (level1 - min_m if nv else -1)
-        if level_w > 0 and level_w * best_den > best_num * d:
-            best_num, best_den = level_w, d
-        if not values:
-            exhausted = True
-            break
-
+    best: list[int] = []
+    lowest = [len(c)]
+    steps = _descend(codeword_value(c), len(c), 1, best, want_witnesses,
+                     1 << (depth_cap + 1), lowest)
     return GrowthRecord(
         codeword=c,
         cap=depth_cap,
-        complete_to=d,
-        exhausted=exhausted,
-        witnesses=witnesses,
-        companions=table,
-        best_num=best_num,
-        best_den=best_den,
-        nodes_expanded=nodes,
-        frontier_peak=peak,
-        pruned=prune,
+        want=want_witnesses,
+        witnesses=[_unpack(key) for key in best],
+        nodes_expanded=steps,
+        frontier_peak=len(c) - lowest[0] + 1,
     )
+
+
+def _unpack(key: int) -> tuple[int, int]:
+    """(depth, packed path) of a node key."""
+    d = key.bit_length() - 1
+    return (d, key ^ (1 << d))
+
+
+def _descend(v: int, m: int, key: int, best: list[int], want: int,
+             limit: int, lowest: list[int]) -> int:
+    """Merge the leaves below the class v mod 3^m, whose node key is ``key``,
+    into ``best``: the ``want`` smallest leaf keys below ``limit``, sorted.
+
+    Returns the number of chain positions visited; ``lowest[0]`` tracks the
+    smallest exponent entered, and so the depth of the search stack.
+    """
+    if m < lowest[0]:
+        lowest[0] = m
+    mod, sub, reach = POW3[m], POW3[m - 1], m - 1
+    bound = best[-1] if len(best) == want else limit
+    steps = 0
+    # the smallest leaf key below a node is its key followed by m-1 ones
+    while ((key + 1) << reach) - 1 < bound:
+        steps += 1
+        r = v % 9
+        if r == 2 or r == 8:
+            child = ((v + v - 1) // 3) % sub
+            ckey = key + key + 1
+            if reach == 1:
+                _keep(best, ckey, want)
+            elif reach <= TABLE_MAX_EXPONENT:
+                for rel in _table_leaves(child, reach)[:want]:
+                    leaf = ((ckey - 1) << (rel.bit_length() - 1)) + rel
+                    if leaf >= (best[-1] if len(best) == want else limit):
+                        break
+                    _keep(best, leaf, want)
+            else:
+                steps += _descend(child, reach, ckey, best, want, limit, lowest)
+            bound = best[-1] if len(best) == want else limit
+        v = (v + v) % mod
+        key += key
+    return steps
+
+
+def _keep(best: list[int], leaf: int, want: int) -> None:
+    """Insert a leaf key that beats the worst one kept, keeping ``want``."""
+    if not best or leaf > best[-1]:
+        best.append(leaf)
+    elif leaf > best[0]:
+        best.insert(1, leaf)
+    else:
+        best.insert(0, leaf)
+    del best[want:]
+
+
+def _table_leaves(v: int, m: int) -> tuple[int, int]:
+    """Relative keys of the first two leaves below the class v mod 3^m."""
+    table = _leaf_tables[m]
+    if table is None:
+        table = _leaf_tables[m] = array("q", bytes(16 * POW3[m]))
+    i = v + v
+    if table[i] == 0:
+        best: list[int] = []
+        _descend(v, m, 1, best, 2, _TABLE_KEY_LIMIT, [m])
+        table[i], table[i + 1] = best
+    return table[i], table[i + 1]
 
 
 def find_companion(
@@ -200,44 +199,65 @@ def find_companion(
 ) -> tuple[int, int] | None:
     """Canonically least path of weight < l with ones-ratio >= alpha.
 
-    Scans the companion table shallowest-depth-first, smallest path second,
-    and skips paths that are prefixes of the given witness (the witness leaf
-    is frozen, so no recorded path can extend it).  For alpha <= 1/2 every
-    qualifying path survives the weight-targeted pruning; beyond that the
-    record must come from an unpruned growth.
+    Returns the smallest (depth, lex) node of depth at most ``cap`` and
+    weight w in 1..l-1 with w/depth >= alpha that is not a prefix of the
+    witness, or None.  Down to weight w a codeword's tree has the shape of
+    the tree of its first w+1 digits, so the first weight-w nodes are that
+    prefix's first two leaves; one of them may lie on the witness path, and
+    then so may some of its 0-edge chain.  Such nodes are the same in the
+    pruned tree for alpha <= 1/2 and in the unpruned tree above that.
     """
-    if record.companions is None:
-        raise ValueError("growth record has no companion table")
-    if 2 * alpha.numerator > alpha.denominator and record.pruned:
-        raise ValueError(
-            "companion search above ratio 1/2 needs an unpruned growth")
+    c = record.codeword
     wd, wp = witness
+    wkey = (1 << wd) | wp
     an, ad = alpha.numerator, alpha.denominator
-    best: tuple[int, int] | None = None
-    for (d, w), bucket in record.companions.items():
-        if d > cap or w * ad < an * d:
-            continue
-        for p in bucket:
-            if d <= wd and (wp >> (wd - d)) == p:
-                continue                      # ancestor of the witness
-            if best is None or (d, p) < best:
-                best = (d, p)
+    unset = best = 1 << (cap + 1)         # keys of depth <= cap lie below
+    v = c[0]
+    for w in range(1, len(c) - 1):
+        # a weight-w node is w 1-edges deep at least
+        if best < (2 << w) - 1:
             break
-    return best
+        v += c[w] * POW3[w]
+        limit = min(best, 1 << (min(cap, w * ad // an) + 1))
+        if w + 1 <= TABLE_MAX_EXPONENT:
+            leaves = [k for k in _table_leaves(v, w + 1) if k < limit]
+        else:
+            leaves = []
+            _descend(v, w + 1, 1, leaves, 2, limit, [w + 1])
+        if not leaves:
+            continue
+        first = leaves[0]
+        d = first.bit_length() - 1
+        if not (d < wd and wkey >> (wd - d) == first):
+            best = first
+            continue
+        # the witness runs on along first's 0-edge chain for ``zeros``
+        # edges; the next node of that chain is the first one off its path
+        zeros = wd - d - (wp & ((1 << (wd - d)) - 1)).bit_length()
+        after = first << (zeros + 1)
+        if after < limit:
+            best = after
+        if len(leaves) > 1 and leaves[1] < best:
+            best = leaves[1]
+    return None if best == unset else _unpack(best)
 
 
-@dataclass(frozen=True)
-class ResidueNode:
-    """One grown node: residue class, depth, and the path that reached it."""
+class ResidueNode(NamedTuple):
+    """One grown node: residue class, depth, and the packed path that
+    reached it."""
 
     value: int
     exponent: int
     depth: int
-    path: str
+    bits: int
+
+    @property
+    def path(self) -> str:
+        return path_str(self.bits, self.depth)
 
     @property
     def weight(self) -> int:
-        return self.path.count("1")
+        return self.bits.bit_count()
 
 
 @dataclass
@@ -256,11 +276,11 @@ class TreeReport:
 
 
 def grow_critical(codeword, depth_cap: int, want_witnesses: int = 1) -> TreeReport:
-    """Grow until the first weight-l leaf appears (criticality).
+    """Find the first weight-l leaf within the cap (criticality).
 
-    With want_witnesses=2 growth continues past the critical depth until a
-    second weight-l leaf is frozen or the pruned frontier dies.  Witnesses
-    come back shallowest-first, lexicographically smallest within a depth.
+    With want_witnesses=2 the second weight-l leaf within the cap is found
+    too.  Witnesses come back shallowest-first, lexicographically smallest
+    within a depth.
     """
     rec = grow_record(codeword, depth_cap, want_witnesses)
     crit = rec.witnesses[0][0] if rec.witnesses else None
@@ -273,40 +293,57 @@ def grow_critical(codeword, depth_cap: int, want_witnesses: int = 1) -> TreeRepo
     )
 
 
-def walk_nodes(codeword, depth_cap: int, stop_at_witnesses: int | None = 1):
-    """Yield every grown ResidueNode in canonical (depth, lex) order.
+def walk_nodes(codeword, depth_cap: int, stop_at_witnesses: int | None = 1,
+               prune: bool = True):
+    """Yield every node of the pruned tree in canonical (depth, lex) order.
 
-    Mirrors grow_record's traversal, including pruning and witness freezing;
-    used by the debug dump and the conservation checks.  stop_at_witnesses
-    of None grows to the cap regardless of witnesses.
+    Breadth-first, to depth_cap, freezing weight-l leaves.  With ``prune`` a
+    node at depth d with weight w is dropped as soon as w + (cap - d) < l,
+    since no extension of it can reach weight l in time.  The walk ends
+    after the first depth holding ``stop_at_witnesses`` weight-l leaves in
+    total; None walks to the cap regardless.  It serves the tree dump, the
+    best ratios of stuck codewords and, in the tests, as the reference for
+    grow_record and find_companion.
     """
     c = check_codeword(codeword)
     if c[0] == 0 or len(c) < 2:
         raise ValueError("cannot walk the reserved or level-0 codeword")
     level1 = len(c)
     frontier = [(codeword_value(c), level1, 0)]
-    yield ResidueNode(frontier[0][0], level1, 0, "")
+    yield ResidueNode(frontier[0][0], level1, 0, 0)
     found = 0
     d = 0
     while frontier and d < depth_cap and (stop_at_witnesses is None or found < stop_at_witnesses):
         d += 1
-        slack = depth_cap - d
+        slack = depth_cap - d if prune else level1
         nxt = []
         for v, m, p in frontier:
             if m - 1 <= slack:
                 node = ((2 * v) % POW3[m], m, p + p)
                 nxt.append(node)
-                yield ResidueNode(node[0], m, d, path_str(p + p, d))
+                yield ResidueNode(node[0], m, d, p + p)
             if v % 9 in BRANCHING_MOD9:
                 child = ((2 * v - 1) // 3) % POW3[m - 1]
                 p1 = p + p + 1
                 if m - 1 == 1:
                     found += 1
-                    yield ResidueNode(child, 1, d, path_str(p1, d))
+                    yield ResidueNode(child, 1, d, p1)
                 elif m - 2 <= slack:
                     nxt.append((child, m - 1, p1))
-                    yield ResidueNode(child, m - 1, d, path_str(p1, d))
+                    yield ResidueNode(child, m - 1, d, p1)
         frontier = nxt
+
+
+def best_ratio(codeword, depth_cap: int, want_witnesses: int = 1,
+               prune: bool = True) -> Fraction | None:
+    """Best weight/depth over the nodes walk_nodes yields below the root,
+    or None when none of them has weight: how close a stuck codeword came."""
+    num, den = 0, 1
+    for node in walk_nodes(codeword, depth_cap, want_witnesses, prune):
+        w = node.weight
+        if w * den > num * node.depth:
+            num, den = w, node.depth
+    return Fraction(num, den) if num else None
 
 
 @dataclass

@@ -19,7 +19,7 @@ from collatzcert.certify import (
     witnesses,
 )
 from collatzcert.numth import t_map
-from collatzcert.tree import grow_record
+from collatzcert.tree import walk_nodes
 
 
 class TestReplay:
@@ -231,8 +231,9 @@ class TestSweep:
         _, cert = sweep.level(5)
         for e in cert.entries:
             k = len(e.paths[0])
-            unpruned = grow_record(e.codeword, k, 1, prune=False)
-            assert unpruned.witnesses and unpruned.witnesses[0][0] == k
+            full = [n.depth for n in walk_nodes(e.codeword, k, None, prune=False)
+                    if n.weight == e.level]
+            assert full and min(full) == k
 
     def test_max_alpha_entry_point(self):
         alpha, cert = max_alpha_at_level(4)

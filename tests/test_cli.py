@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
 from tables import reference_plain_text, reference_strong_text
 
+from collatzcert import cli
+from collatzcert.certify import parse_certificate
 from collatzcert.cli import main
+
+
+def _broken_certificate():
+    # entry 12 with its path's second edge flipped no longer replays
+    return parse_certificate(
+        reference_plain_text().replace("12 1 3 001", "12 1 3 011"))
 
 
 @pytest.fixture
@@ -67,6 +77,62 @@ class TestSearchCommand:
         assert main(["search", "--alpha", "1/4", "--max-weight", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("certificate v1 mode=plain alpha=1/4\n")
+
+
+class TestSearchVerifiesBeforeWriting:
+    def test_broken_search_result_is_not_written(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli.engine, "run",
+                            lambda *args, **kwargs: _broken_certificate())
+        out = tmp_path / "found.cert"
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--out", str(out)]) == 1
+        assert "invalid: entry 12, path 1" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_broken_sweep_result_is_not_written(self, tmp_path, capsys,
+                                                monkeypatch):
+        class BrokenSweep:
+            def __init__(self, **kwargs):
+                pass
+
+            def level(self, l):
+                return Fraction(1, 3), _broken_certificate()
+
+        monkeypatch.setattr(cli, "SweepState", BrokenSweep)
+        out = tmp_path / "level4.cert"
+        assert main(["max-alpha", "--level", "4", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith("invalid: entry 12, path 1")
+        assert "1/3 12" not in printed
+        assert not out.exists()
+
+
+class TestResumeFromBadCheckpoint:
+    @pytest.mark.parametrize("records,reason", [
+        # Kraft sum 1/3 + 2/9: classes 02, 12, 21, 22 are missing
+        (["open 01", "open 11"], "Kraft sum 2/9 + 1/3 = 5/9 != 1"),
+        # the closed entry's path has ones-ratio 0 < 1/3
+        (["open 01", "open 11", "open 12", "open 21", "open 22",
+          "closed 02 1 1 0"], "entry 02, path 1: ones-ratio 0/1"),
+        # exhaustive by Kraft sum, but 01 is listed twice and 02 not at all
+        (["open 01", "open 01", "open 11", "open 12", "open 21", "open 22"],
+         "entry 01: duplicate codeword"),
+        (["open 01", "open 001", "open 02", "open 11", "open 12", "open 21",
+          "open 22"], "entry 01: prefix of fellow codeword 001"),
+    ])
+    def test_exits_three_without_writing(self, tmp_path, capsys, records,
+                                         reason):
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n"
+                      + "".join(r + "\n" for r in records))
+        out = tmp_path / "found.cert"
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {cp}: ")
+        assert reason in err
+        assert not out.exists()
 
 
 class TestMaxAlphaCommand:

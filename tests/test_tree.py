@@ -67,14 +67,31 @@ class TestGrowCritical:
                 k = grow_critical(c, 60).critical_depth
                 assert k is not None
                 if k > 1:
-                    again = grow_record(c, k - 1, 1, prune=False)
-                    assert again.witnesses == []
+                    unpruned = walk_nodes(c, k - 1, None, prune=False)
+                    assert all(n.weight < len(c) - 1 for n in unpruned)
 
     def test_pruning_does_not_change_the_outcome(self):
         for c in all_codewords(4):
             fast = grow_record(c, 12, 2)
-            slow = grow_record(c, 12, 2, prune=False)
-            assert fast.witnesses == slow.witnesses
+            slow = [(n.depth, n.bits)
+                    for n in walk_nodes(c, 12, 2, prune=False)
+                    if n.weight == len(c) - 1]
+            assert fast.witnesses == slow[:2]
+
+
+class TestGrowthRecord:
+    def test_usable_for(self):
+        # the first full-weight leaf of class 21 lies at depth 4
+        c = codeword_from_display("21")
+        short = grow_record(c, 3)
+        assert short.witnesses == []
+        assert short.usable_for(3, 1) and short.usable_for(2, 1)
+        assert not short.usable_for(4, 1)       # a deeper cap may find one
+        assert not short.usable_for(3, 2)       # grown for one witness only
+        found = grow_record(c, 10)
+        assert [path_str(p, d) for d, p in found.witnesses] == ["0001"]
+        assert found.usable_for(40, 1) and found.usable_for(3, 1)
+        assert found.witnesses_within(3) == []
 
 
 class TestConservation:
@@ -100,29 +117,28 @@ class TestCompanions:
             "1021": (9, "000101"),
         }
         for display, (cap, expected) in cases.items():
-            rec = grow_record(codeword_from_display(display), cap, 2,
-                              collect_companions=True)
+            rec = grow_record(codeword_from_display(display), cap, 2)
             assert len(rec.witnesses) == 1
             got = find_companion(rec, cap, Fraction(1, 3), rec.witnesses[0])
             assert got is not None
             assert path_str(got[1], got[0]) == expected
 
     def test_prefixes_of_the_witness_are_skipped(self):
-        rec = grow_record(codeword_from_display("011"), 6, 2,
-                          collect_companions=True)
+        rec = grow_record(codeword_from_display("011"), 6, 2)
         assert [path_str(p, d) for d, p in rec.witnesses] == ["01001"]
         assert find_companion(rec, 6, Fraction(1, 3), rec.witnesses[0]) is None
 
-    def test_requires_companion_table(self):
-        rec = grow_record(codeword_from_display("111"), 6, 2)
-        with pytest.raises(ValueError):
-            find_companion(rec, 6, Fraction(1, 3), rec.witnesses[0])
-
-    def test_rejects_large_alpha(self):
-        rec = grow_record(codeword_from_display("111"), 6, 2,
-                          collect_companions=True)
-        with pytest.raises(ValueError):
-            find_companion(rec, 6, Fraction(2, 3), rec.witnesses[0])
+    def test_answers_above_half(self):
+        # above ratio 1/2 pruning is not known to keep every candidate, so
+        # the answer is the first qualifying node of the unpruned tree
+        cases = {"2222": ("111", "110"), "00222": ("110011", "111")}
+        for display, (witness, expected) in cases.items():
+            c = codeword_from_display(display)
+            cap = (len(c) - 1) * 5 // 3
+            rec = grow_record(c, cap, 2)
+            assert [path_str(p, d) for d, p in rec.witnesses] == [witness]
+            got = find_companion(rec, cap, Fraction(3, 5), rec.witnesses[0])
+            assert path_str(got[1], got[0]) == expected
 
 
 class TestIntegerTrees:
