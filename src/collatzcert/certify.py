@@ -113,7 +113,7 @@ class Unclosed:
     alpha: Fraction
     mode: str
     max_weight: int
-    open_codewords: list[tuple[tuple[int, ...], Fraction | None]]
+    open_codewords: list[tuple[int, ...]]
 
 
 SearchOutcome = Certificate | Unclosed

@@ -25,7 +25,7 @@ from .certify import (
     witnesses,
 )
 from .numth import codeword_display, codeword_from_display, trajectory
-from .tree import walk_nodes
+from .tree import best_ratio, walk_nodes
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -114,8 +114,14 @@ def _cmd_search(args) -> int:
     outcome = engine.run(args.alpha, args.max_weight, mode,
                          workers=args.workers, checkpoint_path=args.checkpoint)
     if isinstance(outcome, Unclosed):
+        want = 2 if args.strong else 1
+        # strong mode above ratio 1/2 draws companions from the unpruned
+        # tree, so a stuck codeword's best ratio is reported over that tree
+        prune = not args.strong or 2 * args.alpha <= 1
         print(f"unclosed at max-weight {outcome.max_weight}:")
-        for codeword, ratio in outcome.open_codewords:
+        for codeword in outcome.open_codewords:
+            cap = engine.depth_cap(len(codeword) - 1, args.alpha)
+            ratio = best_ratio(codeword, cap, want, prune)
             best = f"{ratio.numerator}/{ratio.denominator}" if ratio else "?"
             print(f"open {codeword_display(codeword)} best-ratio {best}")
         return EXIT_UNCLOSED

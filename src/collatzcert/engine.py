@@ -30,7 +30,7 @@ from .certify import (
     entry_violations,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import GrowthRecord, best_ratio, find_companion, grow_record, path_str
+from .tree import GrowthRecord, find_companion, grow_record, path_str
 
 INITIAL_CODEWORDS = tuple(
     (i, j) for i in (1, 2) for j in (0, 1, 2)
@@ -154,7 +154,8 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
     return "level,count\n" + "".join(f"{lv},{n}\n" for lv, n in rows)
 
 
-def _depth_cap(level: int, alpha: Fraction) -> int:
+def depth_cap(level: int, alpha: Fraction) -> int:
+    """Deepest path of ones-ratio >= alpha with ``level`` ones."""
     return (level * alpha.denominator) // alpha.numerator
 
 
@@ -228,7 +229,6 @@ def run(
     cache: dict | None = None,
     checkpoint_interval: float = CHECKPOINT_INTERVAL,
     max_rounds: int | None = None,
-    frontier_budget: int | None = None,
 ) -> SearchOutcome | None:
     """Run the certificate search to completion.
 
@@ -249,12 +249,9 @@ def run(
         raise ValueError("workers must be >= 1")
 
     want = 2 if mode == STRONG else 1
-    # strong mode above ratio 1/2 reports a stuck codeword's best ratio over
-    # the unpruned tree, the one its companions are drawn from
-    prune = mode == PLAIN or 2 * alpha.numerator <= alpha.denominator
     open_by_level: dict[int, list[tuple[int, ...]]] = {}
     closed: list[CertificateEntry] = []
-    stuck: list[tuple[tuple[int, ...], Fraction | None]] = []
+    stuck: list[tuple[int, ...]] = []
     kraft = _KraftLedger()
 
     resumed = False
@@ -278,14 +275,12 @@ def run(
             kraft.add(len(c))
     for e in closed:
         kraft.add(len(e.codeword))
-    kraft.assert_exhaustive()
 
     pool = None
     if workers > 1:
         pool = multiprocessing.get_context("fork").Pool(workers)
     last_checkpoint = time.monotonic()
     rounds = 0
-    serial_fallback = False
     try:
         while open_by_level:
             if max_rounds is not None and rounds >= max_rounds:
@@ -294,7 +289,7 @@ def run(
                                  checkpoint_path)
                 return None
             level = max(open_by_level)
-            cap = _depth_cap(level, alpha)
+            cap = depth_cap(level, alpha)
             batch = [WorkItem(c, level, cap)
                      for c in sorted(open_by_level.pop(level))]
             for start in range(0, len(batch), BATCH_CHUNK):
@@ -309,7 +304,7 @@ def run(
                         records.append(None)
                         todo.append((item.codeword, item.depth_cap, want))
                 if todo:
-                    if pool is not None and not serial_fallback and len(todo) > 1:
+                    if pool is not None and len(todo) > 1:
                         fresh = pool.map(_analyze, todo)
                     else:
                         fresh = [_analyze(t) for t in todo]
@@ -319,9 +314,6 @@ def run(
                             records[i] = next(it)
                             if cache is not None:
                                 cache[records[i].codeword] = records[i]
-                if frontier_budget is not None:
-                    peak = max(r.frontier_peak for r in records)
-                    serial_fallback = peak * workers > frontier_budget
 
                 for item, rec in zip(chunk, records):
                     c = item.codeword
@@ -331,7 +323,7 @@ def run(
                         closed.append(CertificateEntry(codeword=c, paths=paths))
                         kraft.add(len(c))
                     elif level >= max_weight:
-                        stuck.append((c, best_ratio(c, cap, want, prune)))
+                        stuck.append(c)
                         kraft.add(len(c))
                     else:
                         children = [c + (d,) for d in (0, 1, 2)]
@@ -371,7 +363,7 @@ def _write_state(alpha, mode, open_by_level, stuck, closed, path) -> None:
         alpha=alpha,
         mode=mode,
         open_codewords=[c for words in open_by_level.values() for c in words]
-        + [c for c, _ in stuck],
+        + stuck,
         closed=closed,
     )
     save_checkpoint(state, path)

@@ -204,8 +204,13 @@ def find_companion(
     witness, or None.  Down to weight w a codeword's tree has the shape of
     the tree of its first w+1 digits, so the first weight-w nodes are that
     prefix's first two leaves; one of them may lie on the witness path, and
-    then so may some of its 0-edge chain.  Such nodes are the same in the
-    pruned tree for alpha <= 1/2 and in the unpruned tree above that.
+    then so may some of its 0-edge chain.
+
+    The nodes searched are those of the unpruned tree.  For alpha <= 1/2
+    the first qualifying one is also the first of the pruned tree, so that
+    is the answer there; above 1/2, where pruning is not known to keep every
+    candidate, the answer is the first qualifying node of the unpruned tree.
+    Only the record's codeword is read, so one record answers every alpha.
     """
     c = record.codeword
     wd, wp = witness

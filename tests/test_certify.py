@@ -184,9 +184,7 @@ class TestSearch:
     def test_unclosed_below_needed_weight(self):
         out = search(Fraction(1, 3), 3, "plain")
         assert isinstance(out, Unclosed)
-        opens = [(c, r) for c, r in out.open_codewords]
-        assert [c for c, _ in opens] == [(1, 2, 2, 2)]
-        assert opens[0][1] == Fraction(2, 7)
+        assert out.open_codewords == [(1, 2, 2, 2)]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -68,7 +68,7 @@ class TestSearchCommand:
     def test_unclosed_exits_two(self, capsys):
         assert main(["search", "--alpha", "1/3", "--max-weight", "3"]) == 2
         out = capsys.readouterr().out
-        assert "open 2221" in out
+        assert "open 2221 best-ratio 2/7" in out
 
     def test_big_weight_needs_force(self, capsys):
         assert main(["search", "--alpha", "1/3", "--max-weight", "25"]) == 3
