@@ -12,7 +12,6 @@ from .certify import (
     Unclosed,
     Violation,
     load_certificate,
-    max_alpha_at_level,
     parse_certificate,
     replay_path,
     save_certificate,
@@ -22,23 +21,19 @@ from .certify import (
 )
 from .engine import CheckpointState, load_checkpoint, run, save_checkpoint, stats
 from .numth import (
-    Residue,
     TrajectoryReport,
     codeword_display,
     codeword_from_display,
-    codeword_to_residue,
     inverse_t,
-    inverse_t_star_residue,
     t_map,
     trajectory,
 )
 from .tree import (
-    TreeReport,
     count_structures,
-    grow_critical,
-    grow_integer_tree,
-    grow_residue_tree,
+    grow_record,
     structure_signature,
+    walk_integers,
+    walk_nodes,
 )
 
 __version__ = "0.1.0"

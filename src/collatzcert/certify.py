@@ -89,14 +89,6 @@ class Certificate:
             Fraction(1, POW3[len(e.codeword)]) for e in self.entries
         )
 
-    def level_counts(self) -> list[tuple[int, int]]:
-        """(level, number of entries with level >= that) for each level."""
-        top = self.max_weight()
-        return [
-            (lv, sum(1 for e in self.entries if e.level >= lv))
-            for lv in range(1, top + 1)
-        ]
-
     def sorted_canonically(self) -> "Certificate":
         return replace(self, entries=sorted(self.entries, key=lambda e: e.codeword))
 
@@ -263,55 +255,58 @@ def parse_certificate(text: str) -> Certificate:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            header = _parse_header(line, lineno, "certificate")
-            continue
-        entries.append(_parse_entry(line, lineno))
+        try:
+            if header is None:
+                header = _parse_header(line, "certificate")
+            else:
+                entries.append(_parse_entry(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise ValueError("line 1: missing certificate header")
     mode, alpha = header
     return Certificate(alpha=alpha, mode=mode, entries=entries)
 
 
-def _parse_header(line: str, lineno: int, kind: str) -> tuple[str, Fraction]:
+def _parse_header(line: str, kind: str) -> tuple[str, Fraction]:
     parts = line.split()
     if len(parts) != 4 or parts[0] != kind or parts[1] != "v1":
-        raise ValueError(f"line {lineno}: bad {kind} header {line!r}")
+        raise ValueError(f"bad {kind} header {line!r}")
     if not parts[2].startswith("mode=") or not parts[3].startswith("alpha="):
-        raise ValueError(f"line {lineno}: bad {kind} header fields {line!r}")
+        raise ValueError(f"bad {kind} header fields {line!r}")
     mode = parts[2][5:]
     if mode not in (PLAIN, STRONG):
-        raise ValueError(f"line {lineno}: unknown mode {mode!r}")
-    alpha = parse_ratio(parts[3][6:], lineno)
-    return mode, alpha
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode, parse_ratio(parts[3][6:])
 
 
-def parse_ratio(text: str, lineno: int | None = None) -> Fraction:
-    where = f"line {lineno}: " if lineno else ""
+def _is_number(text: str) -> bool:
+    # str.isdigit alone also passes digits such as '²' that int() refuses
+    return text.isascii() and text.isdigit()
+
+
+def parse_ratio(text: str) -> Fraction:
     num, sep, den = text.partition("/")
-    if not sep or not num.isdigit() or not den.isdigit() or int(den) == 0:
-        raise ValueError(f"{where}expected an exact ratio N/D, got {text!r}")
+    if not sep or not _is_number(num) or not _is_number(den) or int(den) == 0:
+        raise ValueError(f"expected an exact ratio N/D, got {text!r}")
     return Fraction(int(num), int(den))
 
 
-def _parse_entry(line: str, lineno: int) -> CertificateEntry:
+def _parse_entry(line: str) -> CertificateEntry:
+    """One entry line; errors are located by the caller."""
     parts = line.split()
     if len(parts) not in (4, 6):
-        raise ValueError(f"line {lineno}: entry needs 4 or 6 fields, got {len(parts)}")
-    try:
-        codeword = codeword_from_display(parts[0])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
-    if not parts[1].isdigit() or int(parts[1]) != len(codeword) - 1:
+        raise ValueError(f"entry needs 4 or 6 fields, got {len(parts)}")
+    codeword = codeword_from_display(parts[0])
+    if not _is_number(parts[1]) or int(parts[1]) != len(codeword) - 1:
         raise ValueError(
-            f"line {lineno}: level {parts[1]} does not match codeword length "
-            f"{len(codeword)}")
+            f"level {parts[1]} does not match codeword length {len(codeword)}")
     paths = []
     for length_s, path in zip(parts[2::2], parts[3::2]):
-        if not length_s.isdigit() or int(length_s) != len(path):
-            raise ValueError(f"line {lineno}: path length {length_s} != {len(path)}")
+        if not _is_number(length_s) or int(length_s) != len(path):
+            raise ValueError(f"path length {length_s} != {len(path)}")
         if any(ch not in "01" for ch in path):
-            raise ValueError(f"line {lineno}: bad path string {path!r}")
+            raise ValueError(f"bad path string {path!r}")
         paths.append(path)
     return CertificateEntry(codeword=codeword, paths=tuple(paths))
 
@@ -355,16 +350,16 @@ def search(
 class SweepState:
     """Incremental maximal-ratio search, one level at a time.
 
-    Level l starts from the champion ratio of level l-1 and repeatedly tests
-    champion + 1/10000: a successful search promotes the champion to the
-    certificate's own minimum path ratio (the bound it actually proves), a
-    failure ends the level.  Growth results are cached across test values,
+    Level l starts from the champion ratio of level l-1 (level 1 from the
+    certificate at SWEEP_BASE_ALPHA) and repeatedly tests champion +
+    1/10000: a successful search promotes the champion to the certificate's
+    own minimum path ratio (the bound it actually proves), a failure ends
+    the level.  Growth results are cached across test values,
     which is sound because a codeword's tree does not depend on alpha.
     """
 
     mode: str = PLAIN
     workers: int = 1
-    base_alpha: Fraction = SWEEP_BASE_ALPHA
     results: dict[int, tuple[Fraction, Certificate]] = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
 
@@ -378,17 +373,13 @@ class SweepState:
 
     def _run_level(self, l: int) -> None:
         if l == 1:
-            champion, champ_cert = self.base_alpha, None
-        else:
-            champion, champ_cert = self.results[l - 1]
-        if champ_cert is None:
-            outcome = search(champion, l, self.mode, self.workers, cache=self.cache)
-            if isinstance(outcome, Unclosed):
-                raise ValueError(
-                    f"seed ratio {champion} does not close at weight {l}; "
-                    f"lower the base ratio")
+            # the base ratio closes at weight 1 in both modes
+            outcome = search(SWEEP_BASE_ALPHA, 1, self.mode, self.workers,
+                             cache=self.cache)
             champion = outcome.min_ratio()
             champ_cert = replace(outcome, alpha=champion)
+        else:
+            champion, champ_cert = self.results[l - 1]
         while True:
             test = champion + SWEEP_INCREMENT
             outcome = search(test, l, self.mode, self.workers, cache=self.cache)
@@ -402,25 +393,6 @@ class SweepState:
                     f"champion {champion} at level {l} escapes the Farey-"
                     f"order guard (depth cap {depth_cap}); increment unsound")
         self.results[l] = (champion, champ_cert)
-
-
-def max_alpha_at_level(
-    l: int,
-    seed: Fraction | None = None,
-    mode: str = PLAIN,
-    workers: int = 1,
-    sweep: SweepState | None = None,
-) -> tuple[Fraction, Certificate]:
-    """Largest ratio certifiable with paths of at most l ones.
-
-    With no explicit seed the sweep chains upward from level 1; passing a
-    SweepState reuses earlier levels and the growth cache.
-    """
-    if sweep is None:
-        sweep = SweepState(mode=mode, workers=workers)
-        if seed is not None:
-            sweep.base_alpha = seed
-    return sweep.level(l)
 
 
 @dataclass(frozen=True)

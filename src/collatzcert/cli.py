@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _refuted(cert) -> bool:
-    """Verify a certificate about to be written; print why it fails, if it does."""
+    """Verify a certificate before it is written or used; print why it
+    fails, if it does."""
     violations = verify(cert)
     for v in violations:
         print(f"invalid: {v}")
@@ -196,6 +197,8 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_witnesses(args) -> int:
     cert = load_certificate(args.cert)
+    if _refuted(cert):
+        return EXIT_INVALID
     records = witnesses(cert, args.anchor, args.count, breadth=args.breadth)
     for r in records:
         print(f"{r.n} {r.k} {r.ratio.numerator}/{r.ratio.denominator}")
@@ -203,9 +206,12 @@ def _cmd_witnesses(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    if not 0 < args.alpha < 1:
+        print(f"error: alpha must be in (0, 1), got {args.alpha}",
+              file=sys.stderr)
+        return EXIT_USAGE
     codeword = codeword_from_display(args.codeword)
-    level = len(codeword) - 1
-    cap = (level * args.alpha.denominator) // args.alpha.numerator
+    cap = engine.depth_cap(len(codeword) - 1, args.alpha)
     stop = 2 if args.strong else 1
     count = 0
     for node in walk_nodes(codeword, cap, stop_at_witnesses=stop):

@@ -40,13 +40,6 @@ CHECKPOINT_INTERVAL = 30.0
 BATCH_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    codeword: tuple[int, ...]
-    level: int
-    depth_cap: int
-
-
 @dataclass
 class CheckpointState:
     """Resumable snapshot of a search: everything still open, everything closed."""
@@ -104,16 +97,18 @@ def parse_checkpoint(text: str) -> CheckpointState:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            header = _parse_header(line, lineno, "checkpoint")
-            continue
         kind, _, rest = line.partition(" ")
-        if kind == "open":
-            open_codewords.append(codeword_from_display(rest.strip()))
-        elif kind == "closed":
-            closed.append(_parse_entry(rest.strip(), lineno))
-        else:
-            raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        try:
+            if header is None:
+                header = _parse_header(line, "checkpoint")
+            elif kind == "open":
+                open_codewords.append(codeword_from_display(rest.strip()))
+            elif kind == "closed":
+                closed.append(_parse_entry(rest.strip()))
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise ValueError("line 1: missing checkpoint header")
     mode, alpha = header
@@ -290,19 +285,18 @@ def run(
                 return None
             level = max(open_by_level)
             cap = depth_cap(level, alpha)
-            batch = [WorkItem(c, level, cap)
-                     for c in sorted(open_by_level.pop(level))]
+            batch = sorted(open_by_level.pop(level))
             for start in range(0, len(batch), BATCH_CHUNK):
                 chunk = batch[start:start + BATCH_CHUNK]
                 records: list[GrowthRecord] = []
                 todo = []
-                for item in chunk:
-                    rec = cache.get(item.codeword) if cache is not None else None
+                for c in chunk:
+                    rec = cache.get(c) if cache is not None else None
                     if rec is not None and rec.usable_for(cap, want):
                         records.append(rec)
                     else:
                         records.append(None)
-                        todo.append((item.codeword, item.depth_cap, want))
+                        todo.append((c, cap, want))
                 if todo:
                     if pool is not None and len(todo) > 1:
                         fresh = pool.map(_analyze, todo)
@@ -315,8 +309,7 @@ def run(
                             if cache is not None:
                                 cache[records[i].codeword] = records[i]
 
-                for item, rec in zip(chunk, records):
-                    c = item.codeword
+                for c, rec in zip(chunk, records):
                     paths = _close_decision(rec, cap, alpha, mode)
                     kraft.remove(len(c))
                     if paths is not None:

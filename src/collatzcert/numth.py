@@ -1,8 +1,8 @@
 """Exact integer and residue arithmetic for the 3x+1 map.
 
 Forward iteration (trajectories and their statistics), the multivalued
-inverse map, the pruned inverse map on residue classes mod 3^m, and
-conversions between ternary codewords and the residue classes they name.
+inverse map, and ternary codewords: validation, display and the residue
+class values they name.
 All decisions are made in exact arithmetic; the only float anywhere is the
 log-scaled stopping ratio.
 """
@@ -116,43 +116,6 @@ def inverse_t(n: int) -> set[int]:
     return pre
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A residue class value mod 3^exponent."""
-
-    value: int
-    exponent: int
-
-    def __post_init__(self):
-        if not 1 <= self.exponent <= MAX_CODEWORD_LEN + 1:
-            raise ValueError(f"exponent {self.exponent} out of range")
-        if not 0 <= self.value < POW3[self.exponent]:
-            raise ValueError(f"value {self.value} not reduced mod 3^{self.exponent}")
-
-    def __str__(self):
-        return f"{self.value} mod 3^{self.exponent}"
-
-
-def inverse_t_star_residue(node: Residue) -> list[tuple[int, Residue]]:
-    """Pruned inverse step on a residue class, as (edge_label, child) pairs.
-
-    Edge 0 always exists: 2*value mod 3^m.  Edge 1 exists exactly when the
-    class mod 9 is 2 or 8; it costs one level of modulus knowledge, so the
-    child is known only mod 3^(m-1).  Branching requires m >= 2: with only
-    the value mod 3 the class mod 9 is undetermined.
-    """
-    if node.exponent < 2:
-        raise ValueError("residue too coarse to branch (need exponent >= 2)")
-    if node.value % 3 == 0:
-        raise ValueError("pruned tree excludes classes divisible by 3")
-    m = node.exponent
-    out = [(0, Residue((2 * node.value) % POW3[m], m))]
-    if node.value % 9 in BRANCHING_MOD9:
-        child = ((2 * node.value - 1) // 3) % POW3[m - 1]
-        out.append((1, Residue(child, m - 1)))
-    return out
-
-
 def check_codeword(digits) -> tuple[int, ...]:
     """Validate a ternary codeword and return it as a tuple.
 
@@ -171,13 +134,8 @@ def check_codeword(digits) -> tuple[int, ...]:
     return c
 
 
-def codeword_to_residue(c) -> Residue:
-    """The residue class named by a codeword: sum of c_j 3^j mod 3^len."""
-    c = check_codeword(c)
-    return Residue(sum(d * POW3[j] for j, d in enumerate(c)), len(c))
-
-
 def codeword_value(c) -> int:
+    """The residue class a codeword names, mod 3^len: sum of c_j 3^j."""
     return sum(d * POW3[j] for j, d in enumerate(c))
 
 

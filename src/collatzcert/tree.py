@@ -8,19 +8,19 @@ search for the first witness leaves: what lies below a node depends only on
 its class mod 3^m, a leaf is at least m-1 edges below it, and the first two
 leaves below every class with m <= 10 are memoised in tables that all
 growths share.  ``nodes_expanded`` counts search steps and
-``frontier_peak`` is the deepest search stack.  ``walk_nodes`` is the
-breadth-first enumeration of the same pruned tree, for dumps, stuck reports
-and tests.
+``frontier_peak`` is the deepest search stack.
 
-Also provides explicitly stored trees over integers and over residues for
-structure comparison, and the structure census over all codewords of a
-given length.
+``walk_nodes`` is the breadth-first enumeration of the same tree, for
+dumps, stuck reports, the structure census and the tests.  Since children
+are keyed by edge label, a tree's structure is its set of (depth, packed
+path) pairs; ``walk_integers`` enumerates the integer preimage tree in the
+same terms, so the two can be compared.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,6 +28,7 @@ from .numth import (
     BRANCHING_MOD9,
     POW3,
     check_codeword,
+    codeword_of_int,
     codeword_value,
 )
 
@@ -265,39 +266,6 @@ class ResidueNode(NamedTuple):
         return self.bits.bit_count()
 
 
-@dataclass
-class TreeReport:
-    """Outcome of growing one codeword to criticality."""
-
-    codeword: tuple[int, ...]
-    critical_depth: int | None
-    witnesses: list[str]
-    nodes_expanded: int
-    frontier_peak: int
-
-    @property
-    def level(self) -> int:
-        return len(self.codeword) - 1
-
-
-def grow_critical(codeword, depth_cap: int, want_witnesses: int = 1) -> TreeReport:
-    """Find the first weight-l leaf within the cap (criticality).
-
-    With want_witnesses=2 the second weight-l leaf within the cap is found
-    too.  Witnesses come back shallowest-first, lexicographically smallest
-    within a depth.
-    """
-    rec = grow_record(codeword, depth_cap, want_witnesses)
-    crit = rec.witnesses[0][0] if rec.witnesses else None
-    return TreeReport(
-        codeword=rec.codeword,
-        critical_depth=crit,
-        witnesses=[path_str(p, d) for d, p in rec.witnesses[:want_witnesses]],
-        nodes_expanded=rec.nodes_expanded,
-        frontier_peak=rec.frontier_peak,
-    )
-
-
 def walk_nodes(codeword, depth_cap: int, stop_at_witnesses: int | None = 1,
                prune: bool = True):
     """Yield every node of the pruned tree in canonical (depth, lex) order.
@@ -306,16 +274,19 @@ def walk_nodes(codeword, depth_cap: int, stop_at_witnesses: int | None = 1,
     node at depth d with weight w is dropped as soon as w + (cap - d) < l,
     since no extension of it can reach weight l in time.  The walk ends
     after the first depth holding ``stop_at_witnesses`` weight-l leaves in
-    total; None walks to the cap regardless.  It serves the tree dump, the
-    best ratios of stuck codewords and, in the tests, as the reference for
-    grow_record and find_companion.
+    total; None walks to the cap regardless.  The root of a level-0
+    codeword already has weight l, so it is the whole walk.  It serves the
+    tree dump, the best ratios of stuck codewords, the structure census and,
+    in the tests, the reference for grow_record, find_companion and the
+    integer trees.
     """
     c = check_codeword(codeword)
-    if c[0] == 0 or len(c) < 2:
-        raise ValueError("cannot walk the reserved or level-0 codeword")
+    if c[0] == 0:
+        raise ValueError("cannot walk the reserved codeword (0)")
     level1 = len(c)
-    frontier = [(codeword_value(c), level1, 0)]
-    yield ResidueNode(frontier[0][0], level1, 0, 0)
+    root = codeword_value(c)
+    yield ResidueNode(root, level1, 0, 0)
+    frontier = [(root, level1, 0)] if level1 > 1 else []
     found = 0
     d = 0
     while frontier and d < depth_cap and (stop_at_witnesses is None or found < stop_at_witnesses):
@@ -351,28 +322,12 @@ def best_ratio(codeword, depth_cap: int, want_witnesses: int = 1,
     return Fraction(num, den) if num else None
 
 
-@dataclass
-class TreeNode:
-    """Explicitly stored tree node; children keyed by edge label."""
-
-    label: int
-    children: list[tuple[int, "TreeNode"]] = field(default_factory=list)
-
-
-@dataclass
-class IntegerTree:
-    root: TreeNode
-    depth: int
-    node_count: int
-    leaf_count: int
-    max_weight: int
-
-
-def grow_integer_tree(a: int, depth: int) -> IntegerTree:
-    """Full pruned tree of integer inverse iterates of a.
+def walk_integers(a: int, depth: int):
+    """Yield (value, depth, bits) for every node of the pruned tree of
+    integer inverse iterates of a, to ``depth``, in (depth, lex) order.
 
     Nodes divisible by 3 are never created; each edge carries the parity of
-    its child.  Bounded to depth 40: these trees hold every node explicitly.
+    its child.  Bounded to depth 40: each level of the tree is held whole.
     """
     if a < 1:
         raise ValueError("root must be >= 1")
@@ -380,73 +335,28 @@ def grow_integer_tree(a: int, depth: int) -> IntegerTree:
         raise ValueError("root divisible by 3 lies outside the pruned tree")
     if depth > MAX_INTEGER_TREE_DEPTH:
         raise ValueError(f"depth {depth} exceeds the {MAX_INTEGER_TREE_DEPTH} guard")
-    root = TreeNode(a)
-    frontier = [(root, 0)]
-    count = 1
-    leaves = 0
-    max_w = 0
-    for d in range(depth):
+    frontier = [(a, 0)]
+    yield (a, 0, 0)
+    for d in range(1, depth + 1):
         nxt = []
-        for node, w in frontier:
-            n = node.label
-            node.children.append((0, TreeNode(2 * n)))
+        for n, p in frontier:
+            nxt.append((2 * n, p + p))
             if n % 9 in BRANCHING_MOD9:
-                node.children.append((1, TreeNode((2 * n - 1) // 3)))
-            for bit, child in node.children:
-                cw = w + bit
-                if cw > max_w:
-                    max_w = cw
-                nxt.append((child, cw))
-            count += len(node.children)
+                nxt.append(((2 * n - 1) // 3, p + p + 1))
+        for n, p in nxt:
+            yield (n, d, p)
         frontier = nxt
-    leaves = len(frontier)
-    return IntegerTree(root, depth, count, leaves, max_w)
 
 
-def grow_residue_tree(codeword, depth: int) -> TreeNode:
-    """Explicit residue tree for structure comparison.
+def structure_signature(nodes) -> frozenset[tuple[int, int]]:
+    """The (depth, packed path) pairs of the nodes of walk_nodes or
+    walk_integers, each of which ends with its depth and packed path.
 
-    Raises if an expansion would need a node known only mod 3 (the class
-    mod 9, hence the branching, would be undetermined).
+    A tree whose children are keyed by edge label is fully described by
+    these pairs, so two trees share structure (rooted, edge-label-preserving
+    isomorphism) iff their signatures are equal.
     """
-    c = check_codeword(codeword)
-    if c[0] == 0:
-        raise ValueError("cannot grow the reserved codeword")
-    m0 = len(c)
-    root = TreeNode(codeword_value(c))
-    frontier = [(root, m0)]
-    for _ in range(depth):
-        nxt = []
-        for node, m in frontier:
-            if m < 2:
-                raise ValueError("residue too coarse to branch (need exponent >= 2)")
-            v = node.label
-            node.children.append((0, TreeNode((2 * v) % POW3[m])))
-            nxt.append((node.children[-1][1], m))
-            if v % 9 in BRANCHING_MOD9:
-                node.children.append((1, TreeNode(((2 * v - 1) // 3) % POW3[m - 1])))
-                nxt.append((node.children[-1][1], m - 1))
-        frontier = nxt
-    return root
-
-
-def structure_signature(root: TreeNode) -> str:
-    """Canonical string equal for two trees iff they share structure.
-
-    Structure means rooted, edge-label-preserving isomorphism; labels on the
-    nodes themselves are ignored.  Children are serialized 0-edge first.
-    """
-    parts = []
-
-    def rec(node: TreeNode):
-        parts.append("(")
-        for bit, child in sorted(node.children, key=lambda bc: bc[0]):
-            parts.append(str(bit))
-            rec(child)
-        parts.append(")")
-
-    rec(root)
-    return "".join(parts)
+    return frozenset(node[-2:] for node in nodes)
 
 
 def count_structures(k: int) -> int:
@@ -459,31 +369,10 @@ def count_structures(k: int) -> int:
             f"structure census refused for k > {MAX_STRUCTURE_LEVEL}: "
             f"2*3^{k} trees is past the enumeration budget"
         )
-    seen = set()
-    for value in range(1, POW3[k + 1]):
-        if value % 3 == 0:
-            continue
-        digits = []
-        v = value
-        for _ in range(k + 1):
-            v, r = divmod(v, 3)
-            digits.append(r)
-        seen.add(structure_signature(grow_residue_tree(tuple(digits), k)))
+    seen = {
+        structure_signature(walk_nodes(codeword_of_int(value, k + 1), k, None,
+                                       prune=False))
+        for value in range(1, POW3[k + 1]) if value % 3
+    }
     assert len(seen) <= 2 * POW3[k]
     return len(seen)
-
-
-def frontier_count(codeword, depth: int) -> int:
-    """Number of depth-``depth`` nodes of the unpruned tree of a codeword."""
-    c = check_codeword(codeword)
-    frontier = [(codeword_value(c), len(c))]
-    for _ in range(depth):
-        nxt = []
-        for v, m in frontier:
-            if m < 2:
-                raise ValueError("residue too coarse to branch")
-            nxt.append(((2 * v) % POW3[m], m))
-            if v % 9 in BRANCHING_MOD9:
-                nxt.append((((2 * v - 1) // 3) % POW3[m - 1], m - 1))
-        frontier = nxt
-    return len(frontier)

@@ -7,6 +7,7 @@ stretch run to weight 15 is opt-in via COLLATZCERT_STRETCH=1.
 
 import math
 import os
+import random
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from collatzcert.numth import (
     t_map,
     trajectory,
 )
-from collatzcert.tree import frontier_count, grow_integer_tree, walk_nodes
+from collatzcert.tree import structure_signature, walk_integers, walk_nodes
 
 DESK_LEVEL = 12
 STRETCH = os.environ.get("COLLATZCERT_STRETCH") == "1"
@@ -204,21 +205,19 @@ def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path):
         value += 1
 
     # residue growth and integer growth agree structurally
-    from collatzcert.numth import codeword_of_int as cw
-    from collatzcert.tree import grow_residue_tree, structure_signature
-    import random
-
     rng = random.Random(517)
     agreed = 0
     while agreed < 100:
         a = rng.randrange(2, 10**6)
         if a % 3 == 0:
             continue
-        t = grow_integer_tree(a, 7)
-        if t.max_weight == 0:
+        t = list(walk_integers(a, 7))
+        max_weight = max(bits.bit_count() for _, _, bits in t)
+        if max_weight == 0:
             continue
-        res = grow_residue_tree(cw(a, t.max_weight + 2), 7)
-        assert structure_signature(t.root) == structure_signature(res)
+        res = walk_nodes(codeword_of_int(a, max_weight + 2), 7, None,
+                         prune=False)
+        assert structure_signature(t) == structure_signature(res)
         agreed += 1
 
     # mean frontier size is exactly (4/3)^d for d <= 6
@@ -226,7 +225,9 @@ def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path):
         total = 0
         for v in range(1, POW3[d + 1]):
             if v % 3:
-                total += frontier_count(codeword_of_int(v, d + 1), d)
+                c = codeword_of_int(v, d + 1)
+                total += sum(n.depth == d
+                             for n in walk_nodes(c, d, None, prune=False))
         assert Fraction(total, 2 * POW3[d]) == Fraction(4, 3) ** d
 
     # scheduler determinism across worker counts

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tables import reference_plain_text, reference_strong_text
 
@@ -10,7 +12,6 @@ from collatzcert.certify import (
     CertificateEntry,
     SweepState,
     Unclosed,
-    max_alpha_at_level,
     parse_certificate,
     parse_ratio,
     replay_path,
@@ -18,8 +19,31 @@ from collatzcert.certify import (
     verify,
     witnesses,
 )
+from collatzcert.engine import parse_checkpoint
 from collatzcert.numth import t_map
 from collatzcert.tree import walk_nodes
+
+# Text near both file formats: a known header, then lines of an optional
+# checkpoint record kind and format words, malformed fields and arbitrary
+# short strings; or arbitrary text.
+_WORDS = st.one_of(
+    st.sampled_from(["certificate", "checkpoint", "v1", "mode=plain",
+                     "mode=strong", "alpha=1/3", "alpha=", "02", "12", "001",
+                     "1", "3", "01", "0x", "\u00b2", "#"]),
+    st.text(max_size=3),
+)
+_TEXTS = st.one_of(
+    st.text(),
+    st.builds(
+        lambda header, lines: header + "".join(line + "\n" for line in lines),
+        st.sampled_from(["", "certificate v1 mode=plain alpha=1/3\n",
+                         "checkpoint v1 mode=strong alpha=2/5\n"]),
+        st.lists(st.builds(lambda kind, words: kind + " ".join(words),
+                           st.sampled_from(["", "open ", "closed "]),
+                           st.lists(_WORDS, max_size=6)),
+                 max_size=6),
+    ),
+)
 
 
 class TestReplay:
@@ -144,9 +168,24 @@ class TestFileFormat:
 
     def test_parse_ratio(self):
         assert parse_ratio("12/29") == Fraction(12, 29)
-        for bad in ("12", "a/b", "1/0", "-1/3"):
-            with pytest.raises(ValueError):
+        for bad in ("12", "a/b", "1/0", "-1/3", "\u00b2/3"):
+            with pytest.raises(ValueError, match="expected an exact ratio"):
                 parse_ratio(bad)
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @example("checkpoint v1 mode=plain alpha=1/3\nopen 0x\n")
+    @example("certificate v1 mode=plain alpha=1/3\n02 \u00b2 1 1\n")
+    @example("certificate v1 mode=plain alpha=1/3\n02 1 \u00b2 1\n")
+    @example("certificate v1 mode=plain alpha=\u00b2/3\n")
+    @example("certificate v1 mode=plain alpha=1/3\n02 " + "1" * 5000 + " 1 1\n")
+    @given(_TEXTS)
+    def test_every_parse_error_is_located(self, text):
+        for parse in (parse_certificate, parse_checkpoint):
+            try:
+                parse(text)
+            except ValueError as exc:
+                assert str(exc).startswith("line "), (parse.__name__, exc)
 
 
 class TestSearch:
@@ -232,15 +271,6 @@ class TestSweep:
             full = [n.depth for n in walk_nodes(e.codeword, k, None, prune=False)
                     if n.weight == e.level]
             assert full and min(full) == k
-
-    def test_max_alpha_entry_point(self):
-        alpha, cert = max_alpha_at_level(4)
-        assert alpha == Fraction(1, 3)
-        assert cert.size == 12
-
-    def test_bad_seed_reports(self):
-        with pytest.raises(ValueError, match="seed"):
-            max_alpha_at_level(1, seed=Fraction(9, 10))
 
 
 class TestWitnesses:

@@ -190,6 +190,15 @@ class TestWitnessesCommand:
         assert main(["witnesses", "--cert", plain_cert_file,
                      "--anchor", "9", "--count", "1"]) == 3
 
+    def test_invalid_certificate_gives_no_chain(self, tmp_path, capsys):
+        path = tmp_path / "bad.cert"
+        path.write_text(_broken_certificate().to_text())
+        assert main(["witnesses", "--cert", str(path),
+                     "--anchor", "41", "--count", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("invalid: ") for line in lines)
+        assert lines[0].startswith("invalid: entry 12, path 1")
+
 
 class TestTreeCommand:
     def test_dump_format(self, capsys):
@@ -201,6 +210,11 @@ class TestTreeCommand:
 
     def test_rejects_junk_codeword(self, capsys):
         assert main(["tree", "--codeword", "9z", "--alpha", "1/3"]) == 3
+
+    @pytest.mark.parametrize("alpha", ["0/5", "1/1", "5/3"])
+    def test_rejects_alpha_outside_unit_interval(self, alpha, capsys):
+        assert main(["tree", "--codeword", "12", "--alpha", alpha]) == 3
+        assert capsys.readouterr().err.startswith("error: alpha must be in (0, 1)")
 
 
 class TestStatsCommand:

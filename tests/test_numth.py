@@ -6,15 +6,12 @@ import pytest
 
 from collatzcert.numth import (
     MAX_CODEWORD_LEN,
-    Residue,
     check_codeword,
     codeword_display,
     codeword_from_display,
     codeword_of_int,
-    codeword_to_residue,
     codeword_value,
     inverse_t,
-    inverse_t_star_residue,
     stopping_profile,
     t_map,
     trajectory,
@@ -96,52 +93,13 @@ class TestInverse:
                 assert t_map(m) == n
 
 
-class TestPrunedInverse:
-    def test_non_branching_class(self):
-        children = inverse_t_star_residue(Residue(5, 2))
-        assert children == [(0, Residue(1, 2))]
-
-    def test_branching_class_two(self):
-        children = inverse_t_star_residue(Residue(2, 2))
-        assert children == [(0, Residue(4, 2)), (1, Residue(1, 1))]
-
-    def test_branching_class_eight_mod_27(self):
-        children = inverse_t_star_residue(Residue(8, 3))
-        assert children == [(0, Residue(16, 3)), (1, Residue(5, 2))]
-
-    def test_too_coarse_to_branch(self):
-        with pytest.raises(ValueError, match="too coarse"):
-            inverse_t_star_residue(Residue(2, 1))
-
-    def test_rejects_class_divisible_by_three(self):
-        with pytest.raises(ValueError):
-            inverse_t_star_residue(Residue(3, 2))
-
-    def test_forward_map_agrees_on_random_lifts(self):
-        # a lift of the child class with the edge label's parity must map
-        # into the parent class
-        rng = random.Random(7)
-        for _ in range(1000):
-            m = rng.randint(2, 8)
-            value = rng.randrange(3**m)
-            if value % 3 == 0:
-                continue
-            parent = Residue(value, m)
-            for bit, child in inverse_t_star_residue(parent):
-                step = 3**child.exponent
-                lift = child.value + rng.randrange(1, 10**6) * step
-                if lift % 2 != bit:
-                    lift += step            # 3^m is odd, so this flips parity
-                assert t_map(lift) % 3**m == value
-
-
 class TestCodewords:
     def test_residue_and_display(self):
-        assert codeword_to_residue((1, 2)) == Residue(7, 2)
+        assert codeword_value((1, 2)) == 7
         assert codeword_display((1, 2)) == "21"
-        assert codeword_to_residue((2, 1)) == Residue(5, 2)
+        assert codeword_value((2, 1)) == 5
         assert codeword_display((2, 1)) == "12"
-        assert codeword_to_residue((1, 2, 2, 2, 0)) == Residue(79, 5)
+        assert codeword_value((1, 2, 2, 2, 0)) == 79
         assert codeword_display((1, 2, 2, 2, 0)) == "02221"
 
     def test_display_round_trip(self):

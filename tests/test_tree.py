@@ -3,18 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from collatzcert.numth import POW3, codeword_from_display, codeword_of_int
+from collatzcert.numth import POW3, codeword_from_display, codeword_of_int, t_map
 from collatzcert.tree import (
     count_structures,
     find_companion,
-    frontier_count,
-    grow_critical,
-    grow_integer_tree,
     grow_record,
-    grow_residue_tree,
     path_bits,
     path_str,
     structure_signature,
+    walk_integers,
     walk_nodes,
 )
 
@@ -23,6 +20,10 @@ def all_codewords(length):
     for v in range(1, POW3[length]):
         if v % 3:
             yield codeword_of_int(v, length)
+
+
+def _paths(record):
+    return [path_str(p, d) for d, p in record.witnesses]
 
 
 class TestGrowCritical:
@@ -36,27 +37,24 @@ class TestGrowCritical:
         ],
     )
     def test_reference_rows(self, display, cap, want, depth, witnesses):
-        r = grow_critical(codeword_from_display(display), cap, want)
-        assert r.critical_depth == depth
-        assert r.witnesses == witnesses
+        r = grow_record(codeword_from_display(display), cap, want)
+        assert r.witnesses[0][0] == depth
+        assert _paths(r) == witnesses
 
     def test_no_criticality_within_cap(self):
         # this class needs depth 4 for its first full-weight leaf
-        r = grow_critical(codeword_from_display("21"), 3)
-        assert r.critical_depth is None
-        assert r.witnesses == []
+        assert grow_record(codeword_from_display("21"), 3).witnesses == []
 
     def test_rejects_reserved_digit(self):
         with pytest.raises(ValueError):
-            grow_critical((0,), 5)
+            grow_record((0,), 5)
         with pytest.raises(ValueError):
-            grow_critical((1,), 5)          # level-0 word has nothing to find
+            grow_record((1,), 5)            # level-0 word has nothing to find
 
     def test_witness_shape(self):
         # every witness has weight exactly l and ends with a 1-edge
         for c in all_codewords(4):
-            r = grow_critical(c, 40, 2)
-            for w in r.witnesses:
+            for w in _paths(grow_record(c, 40, 2)):
                 assert w.count("1") == len(c) - 1
                 assert w.endswith("1")
 
@@ -64,8 +62,7 @@ class TestGrowCritical:
         # below the critical depth no full-weight node exists, pruned or not
         for length in (2, 3, 4, 5):
             for c in all_codewords(length):
-                k = grow_critical(c, 60).critical_depth
-                assert k is not None
+                k = grow_record(c, 60).witnesses[0][0]
                 if k > 1:
                     unpruned = walk_nodes(c, k - 1, None, prune=False)
                     assert all(n.weight < len(c) - 1 for n in unpruned)
@@ -141,13 +138,77 @@ class TestCompanions:
             assert path_str(got[1], got[0]) == expected
 
 
+class TestPrunedInverse:
+    """The residue step, read off the depth-1 nodes of a walk."""
+
+    @staticmethod
+    def _children(display):
+        nodes = walk_nodes(codeword_from_display(display), 1, None, prune=False)
+        return [(n.bits, n.value, n.exponent) for n in nodes if n.depth == 1]
+
+    def test_non_branching_class(self):
+        assert self._children("12") == [(0, 1, 2)]            # 5 mod 9
+
+    def test_branching_class_two(self):
+        assert self._children("02") == [(0, 4, 2), (1, 1, 1)]
+
+    def test_branching_class_eight_mod_27(self):
+        assert self._children("022") == [(0, 16, 3), (1, 5, 2)]
+
+    def test_too_coarse_to_branch(self):
+        # a class known only mod 3 has weight l = 0 already: a leaf
+        for display in ("1", "2"):
+            assert self._children(display) == []
+
+    def test_rejects_class_divisible_by_three(self):
+        with pytest.raises(ValueError):
+            list(walk_nodes((0, 1), 1, None, prune=False))
+
+    def test_forward_map_agrees_on_random_lifts(self):
+        # along every edge of a walk, a lift of the child class with the
+        # edge label's parity maps into the parent class
+        rng = random.Random(7)
+        edges = 0
+        for _ in range(200):
+            m = rng.randint(2, 8)
+            value = rng.randrange(3**m)
+            if value % 3 == 0:
+                continue
+            nodes = {(n.depth, n.bits): n
+                     for n in walk_nodes(codeword_of_int(value, m), 6, None,
+                                         prune=False)}
+            for (d, bits), child in nodes.items():
+                if d == 0:
+                    continue
+                parent = nodes[(d - 1, bits >> 1)]
+                step = 3**child.exponent
+                lift = child.value + rng.randrange(1, 10**6) * step
+                if lift % 2 != bits & 1:
+                    lift += step            # 3^m is odd, so this flips parity
+                assert t_map(lift) % 3**parent.exponent == parent.value
+                edges += 1
+        assert edges > 1000
+
+
+def _levels(nodes):
+    out = []
+    for value, depth, _ in nodes:
+        if depth == len(out):
+            out.append(set())
+        out[depth].add(value)
+    return out
+
+
+def _max_weight(nodes):
+    return max(bits.bit_count() for _, _, bits in nodes)
+
+
 class TestIntegerTrees:
     def test_depth_five_tree_of_four(self):
         # the whole tree is pinned by forward iteration: every child maps
         # to its parent, 5 hangs off 8, and depth 5 opens the branch at 20
-        t = grow_integer_tree(4, 5)
-        by_depth = _levels(t.root)
-        assert by_depth == [
+        nodes = list(walk_integers(4, 5))
+        assert _levels(nodes) == [
             {4},
             {8},
             {16, 5},
@@ -155,35 +216,34 @@ class TestIntegerTrees:
             {64, 20},
             {128, 40, 13},
         ]
-        for node, child in _edges(t.root):
-            from collatzcert.numth import t_map
-            assert t_map(child.label) == node.label
-        assert t.max_weight == 2            # 4 <- 8 <- 5 <- 10 <- 20 <- 13
-        assert t.leaf_count == 3
+        value = {(d, bits): n for n, d, bits in nodes}
+        for n, d, bits in nodes:
+            if d:
+                assert t_map(n) == value[(d - 1, bits >> 1)]
+        assert _max_weight(nodes) == 2      # 4 <- 8 <- 5 <- 10 <- 20 <- 13
+        assert sum(d == 5 for _, d, _ in nodes) == 3
 
     def test_unrolled_cycle(self):
         # the 1-2 cycle unrolls: 1 reappears as the odd preimage of 2
-        t = grow_integer_tree(1, 2)
-        assert _levels(t.root) == [{1}, {2}, {4, 1}]
+        assert _levels(walk_integers(1, 2)) == [{1}, {2}, {4, 1}]
 
     def test_branch_at_eight(self):
-        t = grow_integer_tree(8, 1)
-        assert [(b, ch.label) for b, ch in t.root.children] == [(0, 16), (1, 5)]
+        assert list(walk_integers(8, 1)) == [(8, 0, 0), (16, 1, 0), (5, 1, 1)]
 
     def test_rejects_multiples_of_three(self):
         with pytest.raises(ValueError):
-            grow_integer_tree(9, 3)
+            list(walk_integers(9, 3))
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            grow_integer_tree(4, 41)
+            list(walk_integers(4, 41))
 
 
 class TestStructure:
     def test_residue_growth_reproduces_integer_tree(self):
-        t = grow_integer_tree(4, 5)
-        r = grow_residue_tree(codeword_of_int(4, 3), 5)
-        assert structure_signature(t.root) == structure_signature(r)
+        residue = walk_nodes(codeword_of_int(4, 3), 5, None, prune=False)
+        assert (structure_signature(walk_integers(4, 5))
+                == structure_signature(residue))
 
     def test_determined_by_residue_beyond_max_weight(self):
         # two roots in the same class mod 3^(l+2) grow identical structures
@@ -194,13 +254,12 @@ class TestStructure:
             if a % 3 == 0:
                 continue
             depth = 7
-            t1 = grow_integer_tree(a, depth)
-            l = t1.max_weight
-            b = a + POW3[l + 2]
-            t2 = grow_integer_tree(b, depth)
-            if t2.max_weight != l:
+            t1 = list(walk_integers(a, depth))
+            l = _max_weight(t1)
+            t2 = list(walk_integers(a + POW3[l + 2], depth))
+            if _max_weight(t2) != l:
                 continue
-            assert structure_signature(t1.root) == structure_signature(t2.root)
+            assert structure_signature(t1) == structure_signature(t2)
             checked += 1
 
     def test_residue_and_integer_agree_to_the_critical_depth(self):
@@ -210,73 +269,35 @@ class TestStructure:
             a = rng.randrange(2, 10**6)
             if a % 3 == 0:
                 continue
-            t = grow_integer_tree(a, 8)
-            l = t.max_weight
+            t = list(walk_integers(a, 8))
+            l = _max_weight(t)
             if l == 0:
                 continue
             # first depth at which a full-weight path appears
-            k = _critical_depth(t.root, l)
-            trunc = _truncate(t.root, k)
-            res = grow_residue_tree(codeword_of_int(a, l + 1), k)
+            k = min(d for _, d, bits in t if bits.bit_count() == l)
+            trunc = [node for node in t if node[1] <= k]
+            res = walk_nodes(codeword_of_int(a, l + 1), k, None, prune=False)
             assert structure_signature(trunc) == structure_signature(res)
             checked += 1
 
     def test_census_values(self):
         # enumeration oracle: distinct structures per depth, within 2*3^k
-        assert count_structures(0) == 1
-        assert count_structures(1) == 2
-        assert count_structures(2) == 4
-        assert count_structures(3) == 9
+        counts = [count_structures(k) for k in range(7)]
+        assert counts == [1, 2, 4, 9, 17, 31, 57]
 
     def test_census_refuses_large_levels(self):
         with pytest.raises(ValueError):
             count_structures(9)
 
 
-def _levels(root):
-    out = []
-    frontier = [root]
-    while frontier:
-        out.append({n.label for n in frontier})
-        frontier = [ch for n in frontier for _, ch in n.children]
-    return out
-
-
-def _edges(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for _, ch in node.children:
-            yield node, ch
-            stack.append(ch)
-
-
-def _critical_depth(root, l):
-    frontier = [(root, 0)]
-    depth = 0
-    while frontier:
-        if any(w == l for _, w in frontier):
-            return depth
-        frontier = [(ch, w + bit) for node, w in frontier for bit, ch in node.children]
-        depth += 1
-    raise AssertionError("tree never reaches its own max weight")
-
-
-def _truncate(node, depth):
-    from collatzcert.tree import TreeNode
-
-    copy = TreeNode(node.label)
-    if depth > 0:
-        copy.children = [(b, _truncate(ch, depth - 1)) for b, ch in node.children]
-    return copy
-
-
 class TestFrontierCensus:
     def test_mean_frontier_is_exact(self):
         # averaged over all codewords of length d+1, the depth-d frontier
-        # has exactly (4/3)^d nodes
+        # of the unpruned tree has exactly (4/3)^d nodes
         for d in (1, 2, 3, 4):
-            total = sum(frontier_count(c, d) for c in all_codewords(d + 1))
+            total = sum(n.depth == d
+                        for c in all_codewords(d + 1)
+                        for n in walk_nodes(c, d, None, prune=False))
             assert Fraction(total, 2 * POW3[d]) == Fraction(4, 3) ** d
 
 
