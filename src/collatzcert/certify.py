@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .numth import (
     BRANCHING_MOD9,
-    MAX_CODEWORD_LEN,
     POW3,
     check_codeword,
     codeword_display,
@@ -26,12 +25,7 @@ from .numth import (
 )
 PLAIN = "plain"
 STRONG = "strong"
-
-# Farey guard: the sweep's champion must stay a fraction with denominator
-# under 100 for the 1/10000 increment to be a sound step size.
-SWEEP_INCREMENT = Fraction(1, 10_000)
 SWEEP_BASE_ALPHA = Fraction(1, 6)
-MAX_SOUND_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -257,9 +251,9 @@ def parse_certificate(text: str) -> Certificate:
             continue
         try:
             if header is None:
-                header = _parse_header(line, "certificate")
+                header = parse_header(line, "certificate")
             else:
-                entries.append(_parse_entry(line))
+                entries.append(parse_entry(line))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
@@ -268,7 +262,7 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(alpha=alpha, mode=mode, entries=entries)
 
 
-def _parse_header(line: str, kind: str) -> tuple[str, Fraction]:
+def parse_header(line: str, kind: str) -> tuple[str, Fraction]:
     parts = line.split()
     if len(parts) != 4 or parts[0] != kind or parts[1] != "v1":
         raise ValueError(f"bad {kind} header {line!r}")
@@ -292,7 +286,7 @@ def parse_ratio(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def _parse_entry(line: str) -> CertificateEntry:
+def parse_entry(line: str) -> CertificateEntry:
     """One entry line; errors are located by the caller."""
     parts = line.split()
     if len(parts) not in (4, 6):
@@ -325,7 +319,6 @@ def search(
     alpha: Fraction,
     max_weight: int,
     mode: str = PLAIN,
-    workers: int = 1,
     checkpoint: str | None = None,
     cache: dict | None = None,
 ) -> SearchOutcome:
@@ -334,32 +327,47 @@ def search(
     Starts from the six two-digit codewords, repeatedly tests the deepest
     open codeword's tree, closing it with its path(s) or splitting it into
     its three one-digit extensions, until the code closes or a split would
-    exceed max_weight.  Delegates scheduling to the engine.
+    exceed max_weight.  Delegates scheduling, and the argument checks, to
+    the engine.
     """
     from . import engine
 
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 1 <= max_weight <= MAX_CODEWORD_LEN:
-        raise ValueError(f"max_weight must be in [1, {MAX_CODEWORD_LEN}]")
-    return engine.run(alpha, max_weight, mode, workers=workers,
-                      checkpoint_path=checkpoint, cache=cache)
+    return engine.run(alpha, max_weight, mode, checkpoint_path=checkpoint,
+                      cache=cache)
+
+
+def depth_cap(level: int, alpha: Fraction) -> int:
+    """Deepest path of ones-ratio >= alpha with ``level`` ones."""
+    return (level * alpha.denominator) // alpha.numerator
+
+
+def farey_successor(x: Fraction, n: int) -> Fraction:
+    """The least fraction above x whose denominator is at most n (n >= x's
+    denominator): the p/q with q <= n largest such that p*b - a*q = 1."""
+    a, b = x.numerator, x.denominator
+    if b > n:
+        raise ValueError(f"denominator of {x} exceeds {n}")
+    q = n - (n + pow(a, -1, b)) % b
+    return Fraction((1 + a * q) // b, q)
 
 
 @dataclass
 class SweepState:
     """Incremental maximal-ratio search, one level at a time.
 
-    Level l starts from the champion ratio of level l-1 (level 1 from the
-    certificate at SWEEP_BASE_ALPHA) and repeatedly tests champion +
-    1/10000: a successful search promotes the champion to the certificate's
-    own minimum path ratio (the bound it actually proves), a failure ends
-    the level.  Growth results are cached across test values,
-    which is sound because a codeword's tree does not depend on alpha.
+    Level l starts from the champion ratio ρ of level l-1 (level 1 from the
+    certificate at SWEEP_BASE_ALPHA) and repeatedly tests the least
+    fraction above ρ whose denominator is at most depth_cap(l, ρ): a
+    successful search promotes the champion to the certificate's own
+    minimum path ratio (the bound it actually proves), a failure ends the
+    level.  No ratio in between needs a search: every ratio a search at
+    level l above ρ compares alpha with is a path ratio of depth at most
+    that cap, so every test in between decides exactly as this one does.
+    Growth results are cached across test values, which is sound because
+    a codeword's tree does not depend on alpha.
     """
 
     mode: str = PLAIN
-    workers: int = 1
     results: dict[int, tuple[Fraction, Certificate]] = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
 
@@ -374,24 +382,18 @@ class SweepState:
     def _run_level(self, l: int) -> None:
         if l == 1:
             # the base ratio closes at weight 1 in both modes
-            outcome = search(SWEEP_BASE_ALPHA, 1, self.mode, self.workers,
-                             cache=self.cache)
+            outcome = search(SWEEP_BASE_ALPHA, 1, self.mode, cache=self.cache)
             champion = outcome.min_ratio()
             champ_cert = replace(outcome, alpha=champion)
         else:
             champion, champ_cert = self.results[l - 1]
         while True:
-            test = champion + SWEEP_INCREMENT
-            outcome = search(test, l, self.mode, self.workers, cache=self.cache)
+            test = farey_successor(champion, depth_cap(l, champion))
+            outcome = search(test, l, self.mode, cache=self.cache)
             if isinstance(outcome, Unclosed):
                 break
             champion = outcome.min_ratio()
             champ_cert = replace(outcome, alpha=champion)
-            depth_cap = (l * champion.denominator) // champion.numerator
-            if not champion.denominator <= depth_cap < MAX_SOUND_DEPTH:
-                raise AssertionError(
-                    f"champion {champion} at level {l} escapes the Farey-"
-                    f"order guard (depth cap {depth_cap}); increment unsound")
         self.results[l] = (champion, champ_cert)
 
 
@@ -476,7 +478,8 @@ def witnesses(
     construction roots at 41 instead and folds 41's trajectory into the
     totals; other cyclic anchors escape through an off-cycle preimage.
     breadth=2 (strong certificates only) expands both paths per element,
-    doubling the population each round.
+    doubling the population each round.  A certificate that does not
+    verify is refused with its first violation.
     """
     if anchor < 1 or anchor % 3 == 0:
         raise ValueError("anchor must be a positive integer not divisible by 3")
@@ -486,6 +489,9 @@ def witnesses(
         raise ValueError("breadth must be 1 or 2")
     if breadth == 2 and cert.mode != STRONG:
         raise ValueError("breadth 2 needs a strong certificate")
+    violations = verify(cert)
+    if violations:
+        raise ValueError(f"certificate does not verify: {violations[0]}")
 
     start = anchor
     suffix_k = 0

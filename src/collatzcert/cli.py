@@ -18,6 +18,7 @@ from .certify import (
     STRONG,
     SweepState,
     Unclosed,
+    depth_cap,
     load_certificate,
     parse_ratio,
     save_certificate,
@@ -61,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
     p.add_argument("--force", action="store_true",
                    help=f"allow --max-weight beyond {UNGUARDED_MAX_WEIGHT}")
-    p.add_argument("--workers", type=int, default=1)
+    # accepted for old command lines; the search runs in one process
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--checkpoint", metavar="FILE")
     p.add_argument("--out", metavar="FILE")
 
@@ -73,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("max-alpha", help="maximal certifiable ratio by level")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--strong", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("trajectory", help="forward-iteration report")
@@ -113,7 +114,7 @@ def _cmd_search(args) -> int:
               f"{UNGUARDED_MAX_WEIGHT} needs --force", file=sys.stderr)
         return EXIT_USAGE
     outcome = engine.run(args.alpha, args.max_weight, mode,
-                         workers=args.workers, checkpoint_path=args.checkpoint)
+                         checkpoint_path=args.checkpoint)
     if isinstance(outcome, Unclosed):
         want = 2 if args.strong else 1
         # strong mode above ratio 1/2 draws companions from the unpruned
@@ -121,7 +122,7 @@ def _cmd_search(args) -> int:
         prune = not args.strong or 2 * args.alpha <= 1
         print(f"unclosed at max-weight {outcome.max_weight}:")
         for codeword in outcome.open_codewords:
-            cap = engine.depth_cap(len(codeword) - 1, args.alpha)
+            cap = depth_cap(len(codeword) - 1, args.alpha)
             ratio = best_ratio(codeword, cap, want, prune)
             best = f"{ratio.numerator}/{ratio.denominator}" if ratio else "?"
             print(f"open {codeword_display(codeword)} best-ratio {best}")
@@ -168,7 +169,7 @@ def _cmd_max_alpha(args) -> int:
         print("error: --level must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     mode = STRONG if args.strong else PLAIN
-    sweep = SweepState(mode=mode, workers=args.workers)
+    sweep = SweepState(mode=mode)
     alpha, cert = sweep.level(args.level)
     if _refuted(cert):
         return EXIT_INVALID
@@ -211,7 +212,7 @@ def _cmd_tree(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     codeword = codeword_from_display(args.codeword)
-    cap = engine.depth_cap(len(codeword) - 1, args.alpha)
+    cap = depth_cap(len(codeword) - 1, args.alpha)
     stop = 2 if args.strong else 1
     count = 0
     for node in walk_nodes(codeword, cap, stop_at_witnesses=stop):

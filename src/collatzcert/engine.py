@@ -1,19 +1,16 @@
 """Deterministic, checkpointable execution of the open-codeword frontier.
 
-A single coordinator owns the open set, grouped by level; each round it
-takes the deepest level's codewords (the greatest-level-first heuristic),
-grows their trees - inline or on a process pool - and merges the results in
-canonical codeword order, so the outcome is bit-identical for any worker
-count.  Splitting a codeword into its three one-digit extensions preserves
-the prefix-code property, which is asserted as an exact Kraft identity
-after every merge.
+One in-process loop owns the open set, grouped by level; each round it
+takes the deepest level's codewords (the greatest-level-first heuristic) in
+canonical codeword order, grows each one's tree (or takes it from the
+growth cache) and closes, leaves stuck or splits it.  Splitting a codeword
+into its three one-digit extensions preserves the prefix-code property,
+which is asserted as an exact Kraft identity after every level.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,10 +21,11 @@ from .certify import (
     CertificateEntry,
     SearchOutcome,
     Unclosed,
-    _parse_entry,
-    _parse_header,
     code_violations,
+    depth_cap,
     entry_violations,
+    parse_entry,
+    parse_header,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
 from .tree import GrowthRecord, find_companion, grow_record, path_str
@@ -35,9 +33,6 @@ from .tree import GrowthRecord, find_companion, grow_record, path_str
 INITIAL_CODEWORDS = tuple(
     (i, j) for i in (1, 2) for j in (0, 1, 2)
 )
-
-CHECKPOINT_INTERVAL = 30.0
-BATCH_CHUNK = 256
 
 
 @dataclass
@@ -100,11 +95,11 @@ def parse_checkpoint(text: str) -> CheckpointState:
         kind, _, rest = line.partition(" ")
         try:
             if header is None:
-                header = _parse_header(line, "checkpoint")
+                header = parse_header(line, "checkpoint")
             elif kind == "open":
                 open_codewords.append(codeword_from_display(rest.strip()))
             elif kind == "closed":
-                closed.append(_parse_entry(rest.strip()))
+                closed.append(parse_entry(rest.strip()))
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:
@@ -147,16 +142,6 @@ def stats(obj) -> list[tuple[int, int]]:
 
 def format_stats_csv(rows: list[tuple[int, int]]) -> str:
     return "level,count\n" + "".join(f"{lv},{n}\n" for lv, n in rows)
-
-
-def depth_cap(level: int, alpha: Fraction) -> int:
-    """Deepest path of ones-ratio >= alpha with ``level`` ones."""
-    return (level * alpha.denominator) // alpha.numerator
-
-
-def _analyze(args) -> GrowthRecord:
-    codeword, cap, want = args
-    return grow_record(codeword, cap, want)
 
 
 def _close_decision(
@@ -219,20 +204,19 @@ def run(
     alpha: Fraction,
     max_weight: int,
     mode: str = PLAIN,
-    workers: int = 1,
     checkpoint_path: str | None = None,
     cache: dict | None = None,
-    checkpoint_interval: float = CHECKPOINT_INTERVAL,
     max_rounds: int | None = None,
 ) -> SearchOutcome | None:
     """Run the certificate search to completion.
 
     Returns a Certificate when every codeword closes, an Unclosed report
     listing the codewords stuck at the weight cap otherwise.  The result is
-    a pure function of (alpha, mode, max_weight): worker count and resume
-    points cannot change a single byte of it.  ``max_rounds`` stops early
-    after that many merge rounds (checkpoint written, None returned); it
-    exists for interrupt testing and incremental operation.
+    a pure function of (alpha, mode, max_weight): resume points cannot
+    change a single byte of it.  The checkpoint, if any, is written after
+    every level.  ``max_rounds`` stops early after that many levels
+    (checkpoint written, None returned); it exists for interrupt testing
+    and incremental operation.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -240,8 +224,6 @@ def run(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 1 <= max_weight <= MAX_CODEWORD_LEN:
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
 
     want = 2 if mode == STRONG else 1
     open_by_level: dict[int, list[tuple[int, ...]]] = {}
@@ -249,7 +231,6 @@ def run(
     stuck: list[tuple[int, ...]] = []
     kraft = _KraftLedger()
 
-    resumed = False
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path)
         if state.alpha != alpha or state.mode != mode:
@@ -261,82 +242,46 @@ def run(
         for c in state.open_codewords:
             open_by_level.setdefault(len(c) - 1, []).append(c)
         closed = list(state.closed)
-        resumed = True
-    if not resumed:
+    else:
         open_by_level[1] = list(INITIAL_CODEWORDS)
 
-    for lv, words in open_by_level.items():
+    for words in open_by_level.values():
         for c in words:
             kraft.add(len(c))
     for e in closed:
         kraft.add(len(e.codeword))
 
-    pool = None
-    if workers > 1:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    last_checkpoint = time.monotonic()
     rounds = 0
-    try:
-        while open_by_level:
-            if max_rounds is not None and rounds >= max_rounds:
-                if checkpoint_path:
-                    _write_state(alpha, mode, open_by_level, stuck, closed,
-                                 checkpoint_path)
-                return None
-            level = max(open_by_level)
-            cap = depth_cap(level, alpha)
-            batch = sorted(open_by_level.pop(level))
-            for start in range(0, len(batch), BATCH_CHUNK):
-                chunk = batch[start:start + BATCH_CHUNK]
-                records: list[GrowthRecord] = []
-                todo = []
-                for c in chunk:
-                    rec = cache.get(c) if cache is not None else None
-                    if rec is not None and rec.usable_for(cap, want):
-                        records.append(rec)
-                    else:
-                        records.append(None)
-                        todo.append((c, cap, want))
-                if todo:
-                    if pool is not None and len(todo) > 1:
-                        fresh = pool.map(_analyze, todo)
-                    else:
-                        fresh = [_analyze(t) for t in todo]
-                    it = iter(fresh)
-                    for i, rec in enumerate(records):
-                        if rec is None:
-                            records[i] = next(it)
-                            if cache is not None:
-                                cache[records[i].codeword] = records[i]
-
-                for c, rec in zip(chunk, records):
-                    paths = _close_decision(rec, cap, alpha, mode)
-                    kraft.remove(len(c))
-                    if paths is not None:
-                        closed.append(CertificateEntry(codeword=c, paths=paths))
-                        kraft.add(len(c))
-                    elif level >= max_weight:
-                        stuck.append(c)
-                        kraft.add(len(c))
-                    else:
-                        children = [c + (d,) for d in (0, 1, 2)]
-                        open_by_level.setdefault(level + 1, []).extend(children)
-                        for child in children:
-                            kraft.add(len(child))
-                kraft.assert_exhaustive()
-                rounds += 1
-                now = time.monotonic()
-                if checkpoint_path and (
-                    now - last_checkpoint >= checkpoint_interval
-                    or start + BATCH_CHUNK >= len(batch)
-                ):
-                    _write_state(alpha, mode, open_by_level, stuck, closed,
-                                 checkpoint_path)
-                    last_checkpoint = now
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    while open_by_level:
+        if max_rounds is not None and rounds >= max_rounds:
+            if checkpoint_path:
+                _write_state(alpha, mode, open_by_level, stuck, closed,
+                             checkpoint_path)
+            return None
+        level = max(open_by_level)
+        cap = depth_cap(level, alpha)
+        for c in sorted(open_by_level.pop(level)):
+            rec = cache.get(c) if cache is not None else None
+            if rec is None or not rec.usable_for(cap, want):
+                rec = grow_record(c, cap, want)
+                if cache is not None:
+                    cache[c] = rec
+            paths = _close_decision(rec, cap, alpha, mode)
+            if paths is not None:
+                closed.append(CertificateEntry(codeword=c, paths=paths))
+            elif level >= max_weight:
+                stuck.append(c)
+            else:
+                kraft.remove(len(c))
+                deeper = open_by_level.setdefault(level + 1, [])
+                for d in (0, 1, 2):
+                    deeper.append(c + (d,))
+                    kraft.add(len(c) + 1)
+        kraft.assert_exhaustive()
+        rounds += 1
+        if checkpoint_path:
+            _write_state(alpha, mode, open_by_level, stuck, closed,
+                         checkpoint_path)
 
     if stuck:
         return Unclosed(

@@ -12,6 +12,7 @@ from collatzcert.certify import (
     CertificateEntry,
     SweepState,
     Unclosed,
+    farey_successor,
     parse_certificate,
     parse_ratio,
     replay_path,
@@ -273,6 +274,26 @@ class TestSweep:
             assert full and min(full) == k
 
 
+class TestFareySuccessor:
+    def test_is_the_next_fraction_within_the_denominator_bound(self):
+        for b in range(1, 31):
+            for a in range(b):
+                x = Fraction(a, b)
+                if x.denominator != b:
+                    continue
+                for n in range(b, 61):
+                    s = farey_successor(x, n)
+                    assert s > x and s.denominator <= n
+                    for q in range(1, n + 1):
+                        # the least p/q above x must not lie below s
+                        p = a * q // b + 1
+                        assert p * s.denominator >= s.numerator * q, (x, n, q)
+
+    def test_refuses_a_denominator_beyond_the_bound(self):
+        with pytest.raises(ValueError):
+            farey_successor(Fraction(1, 7), 6)
+
+
 class TestWitnesses:
     def test_first_witness_from_41(self, reference_plain):
         got = witnesses(reference_plain, 41, 1)
@@ -332,3 +353,12 @@ class TestWitnesses:
             witnesses(reference_plain, 41, 1, breadth=2)
         with pytest.raises(ValueError):
             witnesses(reference_strong, 41, 1, breadth=3)
+
+    @pytest.mark.parametrize("anchor", [5, 14, 23, 41])
+    def test_refuses_a_certificate_that_does_not_verify(self, anchor):
+        # entry 12's path with its second edge flipped no longer replays;
+        # lifting it from these anchors would fail at 10, 28, 46 and 82
+        bad = parse_certificate(
+            reference_plain_text().replace("12 1 3 001", "12 1 3 011"))
+        with pytest.raises(ValueError, match="entry 12, path 1, position 1: "):
+            witnesses(bad, anchor, 3)

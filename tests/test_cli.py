@@ -1,4 +1,6 @@
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,13 @@ class TestSearchCommand:
 
     def test_big_weight_needs_force(self, capsys):
         assert main(["search", "--alpha", "1/3", "--max-weight", "25"]) == 3
+
+    def test_workers_flag_is_accepted_and_changes_nothing(self, tmp_path):
+        plain, pooled = tmp_path / "plain.cert", tmp_path / "pooled.cert"
+        base = ["search", "--alpha", "1/3", "--max-weight", "4"]
+        assert main([*base, "--out", str(plain)]) == 0
+        assert main([*base, "--workers", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == plain.read_bytes()
 
     def test_stdout_when_no_out_file(self, capsys):
         assert main(["search", "--alpha", "1/4", "--max-weight", "1"]) == 0
@@ -238,3 +247,28 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--alpha", "0.3", "--max-weight", "2"])
         assert exc.value.code == 3
+
+
+def _readme_commands():
+    """The ``collatzcert`` lines of README's "Command line" block, each with
+    the output row its ``# -> …`` comment promises, if any."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    out = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, row = line.partition("# -> ")
+        if command.startswith("collatzcert "):
+            out.append((shlex.split(command)[1:], row or None))
+    return out
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [row for _, row in commands if row] == ["1/3 12 4 12",
+                                                   "2/5 914 10 25"]
+    for argv, row in commands:
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out
+        if row is not None:
+            assert printed == row + "\n", argv

@@ -16,22 +16,6 @@ from collatzcert.engine import (
 from collatzcert.tree import best_ratio
 
 
-class TestDeterminism:
-    def test_worker_count_changes_nothing(self):
-        texts = {
-            run(Fraction(1, 3), 4, "plain", workers=w).to_text()
-            for w in (1, 2, 4)
-        }
-        assert len(texts) == 1
-
-    def test_strong_worker_count_changes_nothing(self):
-        texts = {
-            run(Fraction(1, 4), 2, "strong", workers=w).to_text()
-            for w in (1, 3)
-        }
-        assert len(texts) == 1
-
-
 class TestUnclosed:
     def test_report_lists_the_stuck_codeword(self):
         out = run(Fraction(1, 3), 3, "plain")
