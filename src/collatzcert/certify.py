@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .numth import (
     BRANCHING_MOD9,
+    MAX_CODEWORD_LEN,
     POW3,
     check_codeword,
     codeword_display,
     codeword_from_display,
     codeword_value,
-    inverse_t,
     t_map,
 )
 PLAIN = "plain"
@@ -238,27 +238,35 @@ def verify(cert: Certificate) -> list[Violation]:
     return out
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Parse the line-oriented certificate format; errors carry line numbers."""
+def parse_records(text: str, kind: str, parse_record) -> tuple:
+    """The line loop both file formats share: a required trailing newline,
+    blank and ``#`` lines skipped, the ``kind`` header first, then one
+    record per line read by ``parse_record``.  Every error is located as
+    ``line N: ...``.  Returns (mode, alpha, records)."""
     lines = text.split("\n")
     if text and not text.endswith("\n"):
         raise ValueError("line %d: missing trailing newline" % len(lines))
     header = None
-    entries = []
+    records = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             if header is None:
-                header = parse_header(line, "certificate")
+                header = parse_header(line, kind)
             else:
-                entries.append(parse_entry(line))
+                records.append(parse_record(line))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
-        raise ValueError("line 1: missing certificate header")
-    mode, alpha = header
+        raise ValueError(f"line 1: missing {kind} header")
+    return (*header, records)
+
+
+def parse_certificate(text: str) -> Certificate:
+    """Parse the line-oriented certificate format; errors carry line numbers."""
+    mode, alpha, entries = parse_records(text, "certificate", parse_entry)
     return Certificate(alpha=alpha, mode=mode, entries=entries)
 
 
@@ -324,10 +332,10 @@ def search(
 ) -> SearchOutcome:
     """Greedy exhaustive search for a certificate at the given ratio.
 
-    Starts from the six two-digit codewords, repeatedly tests the deepest
-    open codeword's tree, closing it with its path(s) or splitting it into
-    its three one-digit extensions, until the code closes or a split would
-    exceed max_weight.  Delegates scheduling, and the argument checks, to
+    Starts from the six two-digit codewords and tests each open codeword's
+    tree, closing it with its path(s) or splitting it into its three
+    one-digit extensions, until the code closes or a split would exceed
+    max_weight.  Delegates scheduling, and the argument checks, to
     the engine.
     """
     from . import engine
@@ -404,27 +412,16 @@ class WitnessRecord:
     ratio: Fraction
 
 
-def _codeword_trie(cert: Certificate) -> dict:
-    trie: dict = {}
-    for e in cert.entries:
-        node = trie
-        for d in e.codeword[:-1]:
-            node = node.setdefault(d, {})
-        node[e.codeword[-1]] = e
-    return trie
-
-
-def _match_entry(trie: dict, n: int) -> CertificateEntry:
-    node = trie
+def _match_entry(entries: dict, n: int) -> CertificateEntry:
+    """The entry whose codeword is a run of n's low ternary digits."""
+    digits: tuple[int, ...] = ()
     v = n
-    while True:
+    while len(digits) < MAX_CODEWORD_LEN:
         v, digit = divmod(v, 3)
-        nxt = node.get(digit)
-        if nxt is None:
-            raise ValueError(f"no codeword matches {n} (certificate not exhaustive?)")
-        if isinstance(nxt, CertificateEntry):
-            return nxt
-        node = nxt
+        digits += (digit,)
+        if digits in entries:
+            return entries[digits]
+    raise ValueError(f"no codeword matches {n} (certificate not exhaustive?)")
 
 
 def _lift(n: int, path: str) -> int:
@@ -452,17 +449,6 @@ def _forward_check(n: int, k: int, target: int) -> str:
     return "".join(bits)
 
 
-def _on_cycle(a: int, probe: int = 10_000) -> bool:
-    v = a
-    for _ in range(probe):
-        v = t_map(v)
-        if v == a:
-            return True
-        if v == 1 and a != 1:
-            return False
-    return False
-
-
 def witnesses(
     cert: Certificate,
     anchor: int,
@@ -474,9 +460,9 @@ def witnesses(
     Each round matches the current integer's low ternary digits against the
     certificate, lifts the matched entry's path over the integers, and
     verifies the new element by forward iteration.  Reported k and ratio are
-    cumulative back to the anchor.  Anchor 1 lies on the 1-2 cycle, so the
-    construction roots at 41 instead and folds 41's trajectory into the
-    totals; other cyclic anchors escape through an off-cycle preimage.
+    cumulative back to the anchor.  Anchors 1 and 2 lie on the 1-2 cycle,
+    whose preimage chains would circle it, so the construction roots at 41
+    instead and folds 41's trajectory into the totals.
     breadth=2 (strong certificates only) expands both paths per element,
     doubling the population each round.  A certificate that does not
     verify is refused with its first violation.
@@ -496,27 +482,19 @@ def witnesses(
     start = anchor
     suffix_k = 0
     suffix_ones = 0
-    if _on_cycle(anchor):
-        if anchor == 1:
-            start = 41
-        else:
-            for pre in sorted(inverse_t(anchor)):
-                if pre % 3 != 0 and not _on_cycle(pre):
-                    start = pre
-                    break
-            else:
-                raise AssertionError(f"no off-cycle escape preimage for {anchor}")
+    if anchor in (1, 2):
+        start = 41
         parity = _forward_check(start, _steps_to(start, anchor), anchor)
         suffix_k = len(parity)
         suffix_ones = parity.count("1")
 
-    trie = _codeword_trie(cert)
+    entries = {e.codeword: e for e in cert.entries}
     out: list[WitnessRecord] = []
     # queue of (integer, cumulative steps to start, cumulative ones)
     queue: list[tuple[int, int, int]] = [(start, 0, 0)]
     while len(out) < count:
         n, k_acc, ones_acc = queue.pop(0)
-        entry = _match_entry(trie, n)
+        entry = _match_entry(entries, n)
         for path in entry.paths[:breadth]:
             lifted = _lift(n, path)
             parity = _forward_check(lifted, len(path), n)

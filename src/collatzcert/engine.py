@@ -1,11 +1,12 @@
 """Deterministic, checkpointable execution of the open-codeword frontier.
 
-One in-process loop owns the open set, grouped by level; each round it
-takes the deepest level's codewords (the greatest-level-first heuristic) in
-canonical codeword order, grows each one's tree (or takes it from the
-growth cache) and closes, leaves stuck or splits it.  Splitting a codeword
-into its three one-digit extensions preserves the prefix-code property,
-which is asserted as an exact Kraft identity after every level.
+One in-process loop owns the frontier, a list of open codewords.  Each
+pass takes them in canonical codeword order, grows each one's tree within
+its own level's depth cap (or takes it from the growth cache) and closes,
+leaves stuck or splits it; the splits form the next pass's frontier.
+Splitting a codeword into its three one-digit extensions preserves the
+prefix-code property, which is asserted as an exact Kraft identity after
+every pass.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from .certify import (
     CertificateEntry,
     SearchOutcome,
     Unclosed,
+    Violation,
     code_violations,
     depth_cap,
     entry_violations,
     parse_entry,
-    parse_header,
+    parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
 from .tree import GrowthRecord, find_companion, grow_record, path_str
@@ -81,32 +83,20 @@ class CheckpointState:
         return "\n".join(lines) + "\n"
 
 
+def _parse_checkpoint_record(line: str):
+    kind, _, rest = line.partition(" ")
+    if kind == "open":
+        return codeword_from_display(rest.strip())
+    if kind == "closed":
+        return parse_entry(rest.strip())
+    raise ValueError(f"unknown record {kind!r}")
+
+
 def parse_checkpoint(text: str) -> CheckpointState:
-    lines = text.split("\n")
-    if text and not text.endswith("\n"):
-        raise ValueError("line %d: missing trailing newline" % len(lines))
-    header = None
-    open_codewords = []
-    closed = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        try:
-            if header is None:
-                header = parse_header(line, "checkpoint")
-            elif kind == "open":
-                open_codewords.append(codeword_from_display(rest.strip()))
-            elif kind == "closed":
-                closed.append(parse_entry(rest.strip()))
-            else:
-                raise ValueError(f"unknown record {kind!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if header is None:
-        raise ValueError("line 1: missing checkpoint header")
-    mode, alpha = header
+    mode, alpha, records = parse_records(text, "checkpoint",
+                                         _parse_checkpoint_record)
+    closed = [r for r in records if isinstance(r, CertificateEntry)]
+    open_codewords = [r for r in records if not isinstance(r, CertificateEntry)]
     return CheckpointState(alpha=alpha, mode=mode,
                            open_codewords=open_codewords, closed=closed)
 
@@ -191,9 +181,14 @@ class _KraftLedger:
 
 def _check_resumable(state: CheckpointState, path) -> None:
     """Refuse a checkpoint whose codewords do not form an exhaustive prefix
-    code, or whose closed entries would not verify at its ratio and mode."""
+    code, that leaves a level-0 codeword open, or whose closed entries would
+    not verify at its ratio and mode."""
     words = [*state.open_codewords, *(e.codeword for e in state.closed)]
     problems = code_violations(words)
+    problems.extend(
+        Violation(codeword_display(c), None, None,
+                  "open codeword of level 0 (growth needs level >= 1)")
+        for c in state.open_codewords if len(c) < 2)
     for e in state.closed:
         problems.extend(entry_violations(e, state.alpha, state.mode))
     if problems:
@@ -206,17 +201,14 @@ def run(
     mode: str = PLAIN,
     checkpoint_path: str | None = None,
     cache: dict | None = None,
-    max_rounds: int | None = None,
-) -> SearchOutcome | None:
+) -> SearchOutcome:
     """Run the certificate search to completion.
 
     Returns a Certificate when every codeword closes, an Unclosed report
     listing the codewords stuck at the weight cap otherwise.  The result is
     a pure function of (alpha, mode, max_weight): resume points cannot
     change a single byte of it.  The checkpoint, if any, is written after
-    every level.  ``max_rounds`` stops early after that many levels
-    (checkpoint written, None returned); it exists for interrupt testing
-    and incremental operation.
+    every pass over the frontier.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -226,7 +218,7 @@ def run(
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
 
     want = 2 if mode == STRONG else 1
-    open_by_level: dict[int, list[tuple[int, ...]]] = {}
+    frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
     stuck: list[tuple[int, ...]] = []
     kraft = _KraftLedger()
@@ -239,28 +231,16 @@ def run(
                 f"alpha={state.alpha} mode={state.mode}, refusing to resume "
                 f"at alpha={alpha} mode={mode}")
         _check_resumable(state, checkpoint_path)
-        for c in state.open_codewords:
-            open_by_level.setdefault(len(c) - 1, []).append(c)
-        closed = list(state.closed)
-    else:
-        open_by_level[1] = list(INITIAL_CODEWORDS)
+        frontier, closed = state.open_codewords, state.closed
 
-    for words in open_by_level.values():
-        for c in words:
-            kraft.add(len(c))
-    for e in closed:
-        kraft.add(len(e.codeword))
+    for c in [*frontier, *(e.codeword for e in closed)]:
+        kraft.add(len(c))
 
-    rounds = 0
-    while open_by_level:
-        if max_rounds is not None and rounds >= max_rounds:
-            if checkpoint_path:
-                _write_state(alpha, mode, open_by_level, stuck, closed,
-                             checkpoint_path)
-            return None
-        level = max(open_by_level)
-        cap = depth_cap(level, alpha)
-        for c in sorted(open_by_level.pop(level)):
+    while frontier:
+        deeper: list[tuple[int, ...]] = []
+        for c in sorted(frontier):
+            level = len(c) - 1
+            cap = depth_cap(level, alpha)
             rec = cache.get(c) if cache is not None else None
             if rec is None or not rec.usable_for(cap, want):
                 rec = grow_record(c, cap, want)
@@ -273,15 +253,15 @@ def run(
                 stuck.append(c)
             else:
                 kraft.remove(len(c))
-                deeper = open_by_level.setdefault(level + 1, [])
                 for d in (0, 1, 2):
                     deeper.append(c + (d,))
                     kraft.add(len(c) + 1)
         kraft.assert_exhaustive()
-        rounds += 1
+        frontier = deeper
         if checkpoint_path:
-            _write_state(alpha, mode, open_by_level, stuck, closed,
-                         checkpoint_path)
+            save_checkpoint(
+                CheckpointState(alpha, mode, frontier + stuck, closed),
+                checkpoint_path)
 
     if stuck:
         return Unclosed(
@@ -290,18 +270,4 @@ def run(
             max_weight=max_weight,
             open_codewords=sorted(stuck),
         )
-    cert = Certificate(alpha=alpha, mode=mode, entries=closed).sorted_canonically()
-    if checkpoint_path:
-        _write_state(alpha, mode, {}, [], cert.entries, checkpoint_path)
-    return cert
-
-
-def _write_state(alpha, mode, open_by_level, stuck, closed, path) -> None:
-    state = CheckpointState(
-        alpha=alpha,
-        mode=mode,
-        open_codewords=[c for words in open_by_level.values() for c in words]
-        + stuck,
-        closed=closed,
-    )
-    save_checkpoint(state, path)
+    return Certificate(alpha=alpha, mode=mode, entries=closed).sorted_canonically()

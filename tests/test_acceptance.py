@@ -1,12 +1,10 @@
 """Acceptance gate: every shipped criterion at its stated tolerance.
 
 Each test prints one summary line so a plain ``pytest -s`` run reads as a
-checklist.  The two sweep reproductions share session-scoped sweeps; the
-stretch run to weight 15 is opt-in via COLLATZCERT_STRETCH=1.
+checklist.  The two sweep reproductions share module-scoped sweeps.
 """
 
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -37,7 +35,6 @@ from collatzcert.numth import (
 from collatzcert.tree import structure_signature, walk_integers, walk_nodes
 
 DESK_LEVEL = 12
-STRETCH = os.environ.get("COLLATZCERT_STRETCH") == "1"
 
 
 def _report(name, detail):
@@ -60,16 +57,13 @@ def strong_sweep():
 
 def test_criterion_1_plain_sweep_rows(plain_sweep):
     t0 = time.perf_counter()
-    top = 15 if STRETCH else DESK_LEVEL
     for level, alpha, size, depth in PLAIN_SWEEP_ROWS:
-        if level > top:
-            continue
         got_alpha, cert = plain_sweep.level(level)
         assert got_alpha == alpha, f"level {level}: ratio {got_alpha} != {alpha}"
         assert cert.size == size, f"level {level}: size {cert.size} != {size}"
         assert cert.max_depth() == depth
         assert cert.max_weight() <= level
-    _report("criterion 1 (plain sweep rows 1..%d)" % top,
+    _report("criterion 1 (plain sweep rows 1..%d)" % PLAIN_SWEEP_ROWS[-1][0],
             f"{time.perf_counter() - t0:.1f}s")
 
 
@@ -183,7 +177,8 @@ def test_criterion_6_witness_construction():
             f"chain of {len(chain)}, {time.perf_counter() - t0:.2f}s")
 
 
-def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path):
+def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path,
+                                     run_interrupted):
     t0 = time.perf_counter()
 
     # exact Kraft equality on every certificate either sweep emitted
@@ -232,8 +227,7 @@ def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path):
 
     # checkpoint interrupt / resume equivalence
     cp = str(tmp_path / "state")
-    assert engine.run(Fraction(1, 3), 5, "strong", checkpoint_path=cp,
-                      max_rounds=2) is None
+    run_interrupted(2, Fraction(1, 3), 5, "strong", checkpoint_path=cp)
     resumed = engine.run(Fraction(1, 3), 5, "strong", checkpoint_path=cp)
     straight = engine.run(Fraction(1, 3), 5, "strong")
     assert resumed.to_text() == straight.to_text()

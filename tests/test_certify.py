@@ -326,8 +326,13 @@ class TestWitnesses:
             assert seen_41
 
     def test_anchor_two_escapes_its_cycle(self, reference_plain):
-        chain = witnesses(reference_plain, 2, 3)
+        # 2's preimages include 1, so a chain rooted at 2 itself would offer
+        # n = 1 again and again
+        chain = witnesses(reference_plain, 2, 6)
+        assert len({rec.n for rec in chain}) == 6
         for rec in chain:
+            assert rec.n not in (1, 2)
+            assert rec.ratio >= Fraction(1, 3)
             v = rec.n
             for _ in range(rec.k):
                 v = t_map(v)

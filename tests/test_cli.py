@@ -129,6 +129,8 @@ class TestResumeFromBadCheckpoint:
          "entry 01: duplicate codeword"),
         (["open 01", "open 001", "open 02", "open 11", "open 12", "open 21",
           "open 22"], "entry 01: prefix of fellow codeword 001"),
+        # exhaustive, but level-0 codewords cannot be grown
+        (["open 1", "open 2"], "entry 1: open codeword of level 0"),
     ])
     def test_exits_three_without_writing(self, tmp_path, capsys, records,
                                          reason):

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from collatzcert import engine
-from collatzcert.certify import Certificate, Unclosed
+from collatzcert.certify import Certificate, Unclosed, verify
 from collatzcert.engine import (
     CheckpointState,
     format_stats_csv,
@@ -25,32 +26,86 @@ class TestUnclosed:
 
 
 class TestCheckpoints:
-    def test_interrupt_and_resume_match_the_straight_run(self, tmp_path):
+    def test_interrupt_and_resume_match_the_straight_run(self, tmp_path,
+                                                         run_interrupted):
         cp = tmp_path / "state"
         straight = run(Fraction(1, 3), 4, "plain")
-        partial = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp),
-                      max_rounds=2)
-        assert partial is None
+        run_interrupted(2, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert cp.exists()
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == straight.to_text()
 
-    def test_round_trip_is_byte_identical(self, tmp_path):
+    def test_round_trip_is_byte_identical(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
-        run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp), max_rounds=3)
+        run_interrupted(3, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         text = cp.read_text()
         assert parse_checkpoint(text).to_text() == text
         state = load_checkpoint(cp)
         save_checkpoint(state, cp)
         assert cp.read_text() == text
 
-    def test_mismatched_resume_is_refused(self, tmp_path):
+    def test_mismatched_resume_is_refused(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
-        run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp), max_rounds=2)
+        run_interrupted(2, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         with pytest.raises(ValueError, match="refusing"):
             run(Fraction(1, 4), 4, "plain", checkpoint_path=str(cp))
         with pytest.raises(ValueError, match="refusing"):
             run(Fraction(1, 3), 4, "strong", checkpoint_path=str(cp))
+
+    def test_each_pass_writes_one_checkpoint(self, tmp_path, monkeypatch):
+        # one text per pass over the frontier, the closed code written once
+        texts = []
+        real = engine.save_checkpoint
+
+        def save(state, path):
+            texts.append(state.to_text())
+            real(state, path)
+
+        monkeypatch.setattr(engine, "save_checkpoint", save)
+        run(Fraction(1, 3), 5, "strong", checkpoint_path=str(tmp_path / "s"))
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+            "9f00af629f3023d2efe17ee36280d3054726a5ad7bd3ace4fcfcb7ad9758c1fb",
+            "6a3c2902c46f0c6d5098d45ff0cc7970117104416119063b05d2cf76b53ef51e",
+            "9652997994a4ae5a7d285a935f12b038a4af3527aadce1afdc2d76b92fa76e39",
+            "a7f60a771ecd17d0b12c7219e88bb61e0ee7aae37584bf184c7a301954b47580",
+            "c43370b5d772532554f982f50dac72eb98dd5712f00e71a1678362d76ee605d1",
+        ]
+
+    def test_unclosed_checkpoint_resumes_at_a_larger_weight(
+            self, tmp_path, reference_plain):
+        cp = tmp_path / "state"
+        assert isinstance(
+            run(Fraction(1, 3), 3, "plain", checkpoint_path=str(cp)), Unclosed)
+        # the stuck codeword is kept as open, so a larger budget splits it
+        assert "open 2221\n" in cp.read_text()
+        resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
+        assert resumed.to_text() == reference_plain.to_text()
+
+    def test_mixed_level_checkpoint_resumes(self, tmp_path, reference_plain):
+        # five level-1 codewords next to the three children of 21, the one
+        # the straight run splits: each open codeword is tested at its own
+        # level's depth cap
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n" + "".join(
+            f"open {w}\n"
+            for w in ("01", "02", "11", "12", "22", "021", "121", "221")))
+        resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
+        assert resumed.to_text() == reference_plain.to_text()
+
+    def test_shallow_codeword_keeps_its_own_depth_cap(self, tmp_path,
+                                                      reference_plain):
+        # 21 beside deeper codewords: at level 2's cap it would close with
+        # ones-ratio 1/4; at its own cap it splits as in the straight run
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n" + "".join(
+            f"open {w}\n"
+            for w in ("02", "11", "12", "21", "22", "001", "101", "201")))
+        resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
+        assert verify(resumed) == []
+        expected = {e.codeword: e for e in reference_plain.entries
+                    if e.codeword != (1, 0)}
+        assert {e.codeword: e for e in resumed.entries
+                if e.codeword[:2] != (1, 0)} == expected
 
     def test_counters_derive_from_records(self, tmp_path):
         cp = tmp_path / "state"
@@ -108,9 +163,9 @@ class TestInvariants:
             assert isinstance(out, Certificate)
             assert out.kraft_sum() == 1
 
-    def test_splits_are_one_digit_extensions(self, tmp_path):
+    def test_splits_are_one_digit_extensions(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
-        run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp), max_rounds=1)
+        run_interrupted(1, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         state = load_checkpoint(cp)
         lengths = {len(c) for c in state.open_codewords}
         assert lengths <= {2, 3}
