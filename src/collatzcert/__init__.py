@@ -30,6 +30,7 @@ from .numth import (
 )
 from .tree import (
     count_structures,
+    grow_children,
     grow_record,
     structure_signature,
     walk_integers,

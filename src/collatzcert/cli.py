@@ -1,9 +1,10 @@
 """Command-line surface: search, verify, max-alpha sweeps, trajectory
 reports, witness chains, tree dumps, and per-level statistics.
 
-Exit codes: 0 success, 1 invalid certificate (read, or about to be
-written), 2 search unclosed, 3 usage or unusable input such as a checkpoint
-that cannot be resumed.
+Exit codes: 0 success, 1 invalid certificate (one read that does not
+parse or verify, or one about to be written that does not verify), 2
+search unclosed, 3 usage or unusable input such as a checkpoint that
+cannot be resumed.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path):
+    """Read a certificate file; print why it cannot be read, if it cannot,
+    and return None."""
+    try:
+        return load_certificate(path)
+    except (OSError, ValueError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None
+
+
 def _refuted(cert) -> bool:
     """Verify a certificate before it is written or used; print why it
     fails, if it does."""
@@ -141,10 +152,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cert = load_certificate(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    cert = _load(args.file)
+    if cert is None:
         return EXIT_INVALID
     problems = []
     if args.alpha is not None and cert.alpha != args.alpha:
@@ -197,8 +206,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    cert = load_certificate(args.cert)
-    if _refuted(cert):
+    cert = _load(args.cert)
+    if cert is None or _refuted(cert):
         return EXIT_INVALID
     records = witnesses(cert, args.anchor, args.count, breadth=args.breadth)
     for r in records:
@@ -224,7 +233,9 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    cert = load_certificate(args.cert)
+    cert = _load(args.cert)
+    if cert is None or _refuted(cert):
+        return EXIT_INVALID
     csv = engine.format_stats_csv(engine.stats(cert))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -4,9 +4,10 @@ One in-process loop owns the frontier, a list of open codewords.  Each
 pass takes them in canonical codeword order, grows each one's tree within
 its own level's depth cap (or takes it from the growth cache) and closes,
 leaves stuck or splits it; the splits form the next pass's frontier.
-Splitting a codeword into its three one-digit extensions preserves the
-prefix-code property, which is asserted as an exact Kraft identity after
-every pass.
+Siblings sit together in that order, so the trees of a group of them are
+grown in one walk of their parent's tree.  Splitting a codeword into its
+three one-digit extensions preserves the prefix-code property, which is
+asserted as an exact Kraft identity after every pass.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import GrowthRecord, find_companion, grow_record, path_str
+from .tree import GrowthRecord, find_companion, grow_children, path_str
+from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
     (i, j) for i in (1, 2) for j in (0, 1, 2)
@@ -236,6 +238,10 @@ def run(
     for c in [*frontier, *(e.codeword for e in closed)]:
         kraft.add(len(c))
 
+    # the records of the last group of siblings grown, kept until the
+    # parent changes
+    parent: tuple[int, ...] = ()
+    siblings: tuple[GrowthRecord, ...] = ()
     while frontier:
         deeper: list[tuple[int, ...]] = []
         for c in sorted(frontier):
@@ -243,7 +249,13 @@ def run(
             cap = depth_cap(level, alpha)
             rec = cache.get(c) if cache is not None else None
             if rec is None or not rec.usable_for(cap, want):
-                rec = grow_record(c, cap, want)
+                if c[:-1] != parent:
+                    parent = c[:-1]
+                    siblings = grow_children(parent, cap, want)
+                rec = siblings[c[-1]]
+                # share the frontier's tuple: an equal copy in every record
+                # would double the memory the codewords take
+                rec.codeword = c
                 if cache is not None:
                     cache[c] = rec
             paths = _close_decision(rec, cap, alpha, mode)

@@ -7,8 +7,14 @@ reaching weight l (m=1) is frozen as a witness leaf.  Growth is a depth-first
 search for the first witness leaves: what lies below a node depends only on
 its class mod 3^m, a leaf is at least m-1 edges below it, and the first two
 leaves below every class with m <= 10 are memoised in tables that all
-growths share.  ``nodes_expanded`` counts search steps and
-``frontier_peak`` is the deepest search stack.
+growths share.
+
+The search grows siblings, because the engine splits a codeword into all
+three of its one-digit extensions at once: ``grow_children`` finds the
+leaves of c·0, c·1 and c·2 in one walk, since up to weight l their trees
+have the shape of the tree of c and their classes differ by a known
+multiple of the top power of 3.  ``grow_record`` is its view for one
+codeword.
 
 ``walk_nodes`` is the breadth-first enumeration of the same tree, for
 dumps, stuck reports, the structure census and the tests.  Since children
@@ -68,8 +74,10 @@ class GrowthRecord:
     canonical order (depth, then lexicographic), as (depth, packed path).
     Fewer than ``want`` means there are no more within the cap; ``want`` of
     them are the first ``want`` leaves at any depth.  ``nodes_expanded``
-    counts search steps (positions visited along 0-edge chains, table fills
-    excluded) and ``frontier_peak`` is the deepest search stack.
+    counts the 1-edges the search followed (table fills excluded) and
+    ``frontier_peak`` is the deepest search stack.  Both describe the walk
+    that grew the record, which ``grow_children`` shares among three
+    siblings, so the three records carry the same two numbers.
     """
 
     codeword: tuple[int, ...]
@@ -92,8 +100,49 @@ class GrowthRecord:
             cap <= self.cap or len(self.witnesses) >= want)
 
 
+def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
+                  ) -> tuple[GrowthRecord, GrowthRecord, GrowthRecord]:
+    """Growth records of the three one-digit extensions c·0, c·1, c·2 of a
+    codeword c, from one depth-first walk of their shared tree.
+
+    Up to weight l the tree of c·d has the shape of the tree of c, and a
+    node of depth D known mod 3^m in the tree of c·0 has the class
+    v + d·2^D·3^(m-1) mod 3^m in the tree of c·d.  So one walk of the tree
+    of c·0 serves all three: where a table answers a subtree it is asked
+    for each sibling's class, and a 0-edge chain is cut at the worst leaf
+    kept for any of them.  The siblings branch differently only from a
+    node known mod 9 on, and there each walks its own chain.  Each record
+    equals ``grow_record(c + (d,), depth_cap, want_witnesses)``.
+    """
+    c = check_codeword(codeword)
+    if c[0] == 0:
+        raise ValueError("cannot grow from the reserved codeword (0)")
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
+    if want_witnesses not in (1, 2):
+        raise ValueError("want_witnesses must be 1 or 2")
+
+    bests: tuple[list[int], ...] = ([], [], [])
+    m = len(c) + 1
+    limit = 1 << (depth_cap + 1)
+    stats = [0, m]
+    _descend(codeword_value(c), m, 1, bests, want_witnesses, limit, limit,
+             stats)
+    return tuple(
+        GrowthRecord(
+            codeword=c + (d,),
+            cap=depth_cap,
+            want=want_witnesses,
+            witnesses=[_unpack(key) for key in best],
+            nodes_expanded=stats[0],
+            frontier_peak=m - stats[1] + 1,
+        )
+        for d, best in enumerate(bests))
+
+
 def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthRecord:
-    """Depth-first search for the first weight-l leaves of a codeword's tree.
+    """The first weight-l leaves of one codeword's tree: its record from
+    ``grow_children`` of its parent.
 
     A node at depth d with path p is packed as the key (1 << d) | p, so keys
     order by depth and then lexicographically by path.  From each class the
@@ -105,25 +154,7 @@ def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthReco
     c = check_codeword(codeword)
     if len(c) < 2:
         raise ValueError("growth needs a codeword of length >= 2 (level >= 1)")
-    if c[0] == 0:
-        raise ValueError("cannot grow from the reserved codeword (0)")
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
-    if want_witnesses not in (1, 2):
-        raise ValueError("want_witnesses must be 1 or 2")
-
-    best: list[int] = []
-    lowest = [len(c)]
-    steps = _descend(codeword_value(c), len(c), 1, best, want_witnesses,
-                     1 << (depth_cap + 1), lowest)
-    return GrowthRecord(
-        codeword=c,
-        cap=depth_cap,
-        want=want_witnesses,
-        witnesses=[_unpack(key) for key in best],
-        nodes_expanded=steps,
-        frontier_peak=len(c) - lowest[0] + 1,
-    )
+    return grow_children(c[:-1], depth_cap, want_witnesses)[c[-1]]
 
 
 def _unpack(key: int) -> tuple[int, int]:
@@ -132,40 +163,84 @@ def _unpack(key: int) -> tuple[int, int]:
     return (d, key ^ (1 << d))
 
 
-def _descend(v: int, m: int, key: int, best: list[int], want: int,
-             limit: int, lowest: list[int]) -> int:
-    """Merge the leaves below the class v mod 3^m, whose node key is ``key``,
-    into ``best``: the ``want`` smallest leaf keys below ``limit``, sorted.
+def _worst(bests, want: int, limit: int) -> int:
+    """The key a leaf must beat to be kept in one of ``bests``."""
+    worst = 0
+    for best in bests:
+        if len(best) < want:
+            return limit
+        if best[-1] > worst:
+            worst = best[-1]
+    return worst
 
-    Returns the number of chain positions visited; ``lowest[0]`` tracks the
+
+def _descend(v: int, m: int, key: int, bests, want: int, limit: int,
+             bound: int, stats: list[int]) -> int:
+    """Merge the leaves below a node, whose key is ``key``, into ``bests``.
+
+    ``bests[d]`` collects the ``want`` smallest leaf keys below ``limit``,
+    sorted, of the tree in which the node has the class
+    v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list walks one tree,
+    three walk three siblings at once.  ``bound`` is the key a leaf must
+    beat to be kept in one of them, and the new bound is returned.
+    ``stats[0]`` counts the 1-edges followed and ``stats[1]`` tracks the
     smallest exponent entered, and so the depth of the search stack.
     """
-    if m < lowest[0]:
-        lowest[0] = m
+    if m < stats[1]:
+        stats[1] = m
+    if m == 2 and len(bests) > 1:
+        # known mod 9, the siblings branch apart: one chain each (only the
+        # root of a walk gets here, since tables answer every deeper node)
+        twos = 2 - (key.bit_length() & 1)         # 2^D mod 3
+        for d, best in enumerate(bests):
+            _descend((v + 3 * d * twos) % 9, 2, key, (best,), want, limit,
+                     _worst((best,), want, limit), stats)
+        return _worst(bests, want, limit)
     mod, sub, reach = POW3[m], POW3[m - 1], m - 1
-    bound = best[-1] if len(best) == want else limit
+    # along a 0-edge chain v mod 9 runs through 1, 2, 4, 8, 7, 5, so the
+    # 1-edges leave at 2 and 8, two and four steps apart
+    r = v % 9
+    while r != 2 and r != 8:
+        v, key, r = (v + v) % mod, key + key, (r + r) % 9
     steps = 0
-    # the smallest leaf key below a node is its key followed by m-1 ones
-    while ((key + 1) << reach) - 1 < bound:
+    # the smallest leaf key below a node is its key followed by m-1 ones,
+    # so one with a key above ``top`` holds none below the bound
+    top = (bound >> reach) - 1
+    while key <= top:
         steps += 1
-        r = v % 9
-        if r == 2 or r == 8:
-            child = ((v + v - 1) // 3) % sub
-            ckey = key + key + 1
-            if reach == 1:
-                _keep(best, ckey, want)
-            elif reach <= TABLE_MAX_EXPONENT:
-                for rel in _table_leaves(child, reach)[:want]:
-                    leaf = ((ckey - 1) << (rel.bit_length() - 1)) + rel
-                    if leaf >= (best[-1] if len(best) == want else limit):
-                        break
-                    _keep(best, leaf, want)
-            else:
-                steps += _descend(child, reach, ckey, best, want, limit, lowest)
-            bound = best[-1] if len(best) == want else limit
-        v = (v + v) % mod
-        key += key
-    return steps
+        child = ((v + v - 1) // 3) % sub
+        ckey = key + key + 1
+        if reach == 1:
+            _keep(bests[0], ckey, want)
+            bound = _worst(bests, want, limit)
+        elif reach <= TABLE_MAX_EXPONENT:
+            least = ((ckey + 1) << (reach - 1)) - 1
+            # from one sibling's tree to the next the child's class steps
+            # by 2^(D+1)·3^(reach-1), D being the node's depth
+            shift = (1 + (key.bit_length() & 1)) * POW3[reach - 1]
+            bound = 0
+            for best in bests:
+                worst = best[-1] if len(best) == want else limit
+                if least < worst:
+                    for rel in _table_leaves(child, reach)[:want]:
+                        leaf = ((ckey - 1) << (rel.bit_length() - 1)) + rel
+                        if leaf >= worst:
+                            break
+                        _keep(best, leaf, want)
+                        worst = best[-1] if len(best) == want else limit
+                if worst > bound:
+                    bound = worst
+                child = (child + shift) % sub
+        else:
+            bound = _descend(child, reach, ckey, bests, want, limit, bound,
+                             stats)
+        top = (bound >> reach) - 1
+        if r == 2:
+            v, key, r = (v << 2) % mod, key << 2, 8
+        else:
+            v, key, r = (v << 4) % mod, key << 4, 2
+    stats[0] += steps
+    return bound
 
 
 def _keep(best: list[int], leaf: int, want: int) -> None:
@@ -180,15 +255,24 @@ def _keep(best: list[int], leaf: int, want: int) -> None:
 
 
 def _table_leaves(v: int, m: int) -> tuple[int, int]:
-    """Relative keys of the first two leaves below the class v mod 3^m."""
+    """Relative keys of the first two leaves below the class v mod 3^m.
+
+    A miss fills the slots of all three classes that agree with v mod
+    3^(m-1), in one walk.
+    """
     table = _leaf_tables[m]
     if table is None:
         table = _leaf_tables[m] = array("q", bytes(16 * POW3[m]))
     i = v + v
     if table[i] == 0:
-        best: list[int] = []
-        _descend(v, m, 1, best, 2, _TABLE_KEY_LIMIT, [m])
-        table[i], table[i + 1] = best
+        sub = POW3[m - 1]
+        base = v % sub
+        bests: tuple[list[int], ...] = ([], [], [])
+        _descend(base, m, 1, bests, 2, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
+                 [0, m])
+        for d, best in enumerate(bests):
+            j = 2 * (base + d * sub)
+            table[j], table[j + 1] = best
     return table[i], table[i + 1]
 
 
@@ -229,7 +313,7 @@ def find_companion(
             leaves = [k for k in _table_leaves(v, w + 1) if k < limit]
         else:
             leaves = []
-            _descend(v, w + 1, 1, leaves, 2, limit, [w + 1])
+            _descend(v, w + 1, 1, (leaves,), 2, limit, limit, [0, w + 1])
         if not leaves:
             continue
         first = leaves[0]

@@ -55,6 +55,20 @@ class TestVerifyCommand:
         assert main(["verify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["witnesses", "--anchor", "41", "--count", "3", "--cert"],
+    ["stats", "--cert"],
+])
+def test_unparseable_certificate_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "junk.cert"
+    path.write_text("certificate v1 mode=plain alpha=1/3\n02 1 x 1\n")
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: line 2: ")
+    assert captured.out == ""
+
+
 class TestSearchCommand:
     def test_round_trip_with_verify(self, tmp_path, capsys):
         out = str(tmp_path / "found.cert")
@@ -237,6 +251,16 @@ class TestStatsCommand:
         out = tmp_path / "stats.csv"
         assert main(["stats", "--cert", plain_cert_file, "--csv", str(out)]) == 0
         assert out.read_text().startswith("level,count\n")
+
+    def test_invalid_certificate_gives_no_counts(self, tmp_path, capsys):
+        path = tmp_path / "bad.cert"
+        path.write_text(_broken_certificate().to_text())
+        out = tmp_path / "stats.csv"
+        assert main(["stats", "--cert", str(path), "--csv", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("invalid: ") for line in lines)
+        assert lines[0].startswith("invalid: entry 12, path 1")
+        assert not out.exists()
 
 
 class TestUsage:

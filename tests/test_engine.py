@@ -118,6 +118,61 @@ class TestCheckpoints:
         assert counters[4] == {"opened": 3, "closed": 3, "split": 0}
 
 
+class _Killed(Exception):
+    pass
+
+
+class TestSiblingGrowth:
+    def test_one_walk_per_parent(self, monkeypatch):
+        # each decided codeword's record comes from one walk of its
+        # parent's tree; the roots' parents are the level-0 words 1 and 2
+        grown, decided = [], []
+        real_grow, real_decide = engine.grow_children, engine._close_decision
+
+        def grow(parent, cap, want):
+            grown.append(parent)
+            return real_grow(parent, cap, want)
+
+        def decide(record, *args):
+            decided.append(record.codeword)
+            return real_decide(record, *args)
+
+        monkeypatch.setattr(engine, "grow_children", grow)
+        monkeypatch.setattr(engine, "_close_decision", decide)
+        assert isinstance(run(Fraction(5, 14), 6, "plain"), Certificate)
+        assert sorted(grown) == sorted({c[:-1] for c in decided})
+        assert grown[:2] == [(1,), (2,)]
+        assert len(decided) == 3 * len(grown)
+
+    def test_run_killed_mid_pass_resumes_byte_identical(self, tmp_path,
+                                                        monkeypatch):
+        # killed between two sibling groups of the third pass, the run
+        # resumes from the second pass's checkpoint
+        straight = run(Fraction(5, 14), 6, "plain")
+        cp = tmp_path / "state"
+        real_grow, real_save = engine.grow_children, engine.save_checkpoint
+        grows_after = []
+
+        def save(state, path):
+            real_save(state, path)
+            grows_after.append(0)
+
+        def grow(*args):
+            if len(grows_after) == 2 and grows_after[-1] == 2:
+                raise _Killed
+            if grows_after:
+                grows_after[-1] += 1
+            return real_grow(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "grow_children", grow)
+            mp.setattr(engine, "save_checkpoint", save)
+            with pytest.raises(_Killed):
+                run(Fraction(5, 14), 6, "plain", checkpoint_path=str(cp))
+        resumed = run(Fraction(5, 14), 6, "plain", checkpoint_path=str(cp))
+        assert resumed.to_text() == straight.to_text()
+
+
 class TestStats:
     def test_reference_counts(self, reference_plain):
         assert stats(reference_plain) == [(1, 12), (2, 7), (3, 5), (4, 3)]
