@@ -372,7 +372,8 @@ class SweepState:
     level l above ρ compares alpha with is a path ratio of depth at most
     that cap, so every test in between decides exactly as this one does.
     Growth results are cached across test values, which is sound because
-    a codeword's tree does not depend on alpha.
+    a codeword's tree does not depend on alpha.  The cache holds the three
+    growth records of each group of siblings, keyed by their parent.
     """
 
     mode: str = PLAIN

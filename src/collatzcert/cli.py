@@ -26,7 +26,12 @@ from .certify import (
     verify,
     witnesses,
 )
-from .numth import codeword_display, codeword_from_display, trajectory
+from .numth import (
+    DEFAULT_TRAJECTORY_CAP,
+    codeword_display,
+    codeword_from_display,
+    trajectory,
+)
 from .tree import best_ratio, walk_nodes
 
 EXIT_OK = 0
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="forward-iteration report")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_TRAJECTORY_CAP)
 
     p = sub.add_parser("witnesses", help="preimage chains from a certificate")
     p.add_argument("--cert", required=True, metavar="FILE")

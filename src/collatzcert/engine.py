@@ -2,10 +2,12 @@
 
 One in-process loop owns the frontier, a list of open codewords.  Each
 pass takes them in canonical codeword order, grows each one's tree within
-its own level's depth cap (or takes it from the growth cache) and closes,
+its own level's depth cap (or takes it from the growth memo) and closes,
 leaves stuck or splits it; the splits form the next pass's frontier.
 Siblings sit together in that order, so the trees of a group of them are
-grown in one walk of their parent's tree.  Splitting a codeword into its
+grown in one walk of their parent's tree, and the memo holds the group's
+three records under the parent.  The close decision reads a record's leaf
+keys and renders the ones it keeps as paths.  Splitting a codeword into its
 three one-digit extensions preserves the prefix-code property, which is
 asserted as an exact Kraft identity after every pass.
 """
@@ -31,7 +33,7 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import GrowthRecord, find_companion, grow_children, path_str
+from .tree import GrowthRecord, find_companion, grow_children, key_path
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
@@ -137,7 +139,8 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
 
 
 def _close_decision(
-    record: GrowthRecord, cap: int, alpha: Fraction, mode: str
+    codeword: tuple[int, ...], record: GrowthRecord, cap: int,
+    alpha: Fraction, mode: str,
 ) -> tuple[str, ...] | None:
     """Paths that close this codeword at this ratio, or None to split.
 
@@ -147,17 +150,14 @@ def _close_decision(
     """
     wits = record.witnesses_within(cap)
     if mode == PLAIN:
-        if not wits:
-            return None
-        d, p = wits[0]
-        return (path_str(p, d),)
+        return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
-        return tuple(path_str(p, d) for d, p in wits[:2])
+        return (key_path(wits[0]), key_path(wits[1]))
     if len(wits) == 1:
-        companion = find_companion(record, cap, alpha, wits[0])
+        companion = find_companion(codeword, cap, alpha, wits[0])
         if companion is not None:
-            pair = sorted([wits[0], companion])
-            return tuple(path_str(p, d) for d, p in pair)
+            # key order is canonical order
+            return tuple(key_path(k) for k in sorted((wits[0], companion)))
     return None
 
 
@@ -211,6 +211,10 @@ def run(
     a pure function of (alpha, mode, max_weight): resume points cannot
     change a single byte of it.  The checkpoint, if any, is written after
     every pass over the frontier.
+
+    Growth records are memoised by parent, as the three of a group of
+    siblings: in ``cache`` when the caller passes one, to share them across
+    searches, and otherwise only the group in hand.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -238,27 +242,22 @@ def run(
     for c in [*frontier, *(e.codeword for e in closed)]:
         kraft.add(len(c))
 
-    # the records of the last group of siblings grown, kept until the
-    # parent changes
-    parent: tuple[int, ...] = ()
-    siblings: tuple[GrowthRecord, ...] = ()
+    memo = {} if cache is None else cache
     while frontier:
         deeper: list[tuple[int, ...]] = []
         for c in sorted(frontier):
             level = len(c) - 1
             cap = depth_cap(level, alpha)
-            rec = cache.get(c) if cache is not None else None
-            if rec is None or not rec.usable_for(cap, want):
-                if c[:-1] != parent:
-                    parent = c[:-1]
-                    siblings = grow_children(parent, cap, want)
-                rec = siblings[c[-1]]
-                # share the frontier's tuple: an equal copy in every record
-                # would double the memory the codewords take
-                rec.codeword = c
-                if cache is not None:
-                    cache[c] = rec
-            paths = _close_decision(rec, cap, alpha, mode)
+            parent = c[:-1]
+            group = memo.get(parent)
+            # siblings share a level and so a cap: a group regrown for one
+            # of them answers all three, and every later query in this mode
+            # that the old group answered
+            if group is None or not group[c[-1]].usable_for(cap, want):
+                if cache is None:
+                    memo.clear()
+                group = memo[parent] = grow_children(parent, cap, want)
+            paths = _close_decision(c, group[c[-1]], cap, alpha, mode)
             if paths is not None:
                 closed.append(CertificateEntry(codeword=c, paths=paths))
             elif level >= max_weight:

@@ -16,6 +16,12 @@ have the shape of the tree of c and their classes differ by a known
 multiple of the top power of 3.  ``grow_record`` is its view for one
 codeword.
 
+A node at depth d reached by the edge labels p (first edge highest) is
+named by its key (1 << d) | p, so keys order by depth and then
+lexicographically by path, which is canonical order.  Leaves are kept, and
+handed to the close decision, as keys; ``key_path`` renders one as its
+edge-label string for the certificate.
+
 ``walk_nodes`` is the breadth-first enumeration of the same tree, for
 dumps, stuck reports, the structure census and the tests.  Since children
 are keyed by edge label, a tree's structure is its set of (depth, packed
@@ -42,16 +48,10 @@ MAX_INTEGER_TREE_DEPTH = 40
 MAX_STRUCTURE_LEVEL = 8
 
 
-def path_str(bits: int, length: int) -> str:
-    """Render a packed root-to-node edge path, first edge leftmost."""
-    return format(bits, f"0{length}b") if length else ""
-
-
-def path_bits(s: str) -> tuple[int, int]:
-    """Parse an edge-label string into (packed bits, length)."""
-    if any(ch not in "01" for ch in s):
-        raise ValueError(f"bad path string {s!r}")
-    return (int(s, 2) if s else 0, len(s))
+def key_path(key: int) -> str:
+    """The edge labels from the root to the node with this key, first edge
+    leftmost."""
+    return bin(key)[3:]
 
 
 # Classes known mod 3^m for m <= TABLE_MAX_EXPONENT get their first two
@@ -70,29 +70,27 @@ _leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
 class GrowthRecord:
     """What one growth learned about a codeword's tree.
 
-    ``witnesses`` holds the first ``want`` weight-l leaves within ``cap`` in
-    canonical order (depth, then lexicographic), as (depth, packed path).
-    Fewer than ``want`` means there are no more within the cap; ``want`` of
-    them are the first ``want`` leaves at any depth.  ``nodes_expanded``
-    counts the 1-edges the search followed (table fills excluded) and
+    ``witnesses`` holds the keys of the first ``want`` weight-l leaves
+    within ``cap``, ascending, which is canonical order.  Fewer than
+    ``want`` means there are no more within the cap; ``want`` of them are
+    the first ``want`` leaves at any depth.  ``nodes_expanded`` counts the
+    1-edges the search followed (table fills excluded) and
     ``frontier_peak`` is the deepest search stack.  Both describe the walk
     that grew the record, which ``grow_children`` shares among three
-    siblings, so the three records carry the same two numbers.
+    siblings, so the three records carry the same two numbers.  The engine
+    keeps the three together, by parent, and ``usable_for`` tells whether
+    a record answers a later query.
     """
 
-    codeword: tuple[int, ...]
     cap: int
     want: int
-    witnesses: list[tuple[int, int]]          # (depth, packed path)
+    witnesses: list[int]
     nodes_expanded: int
     frontier_peak: int
 
-    @property
-    def level(self) -> int:
-        return len(self.codeword) - 1
-
-    def witnesses_within(self, cap: int) -> list[tuple[int, int]]:
-        return [w for w in self.witnesses if w[0] <= cap]
+    def witnesses_within(self, cap: int) -> list[int]:
+        limit = 1 << (cap + 1)            # keys of depth <= cap lie below
+        return [key for key in self.witnesses if key < limit]
 
     def usable_for(self, cap: int, want: int) -> bool:
         """Can queries at this cap be answered without regrowing?"""
@@ -130,37 +128,29 @@ def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
              stats)
     return tuple(
         GrowthRecord(
-            codeword=c + (d,),
             cap=depth_cap,
             want=want_witnesses,
-            witnesses=[_unpack(key) for key in best],
+            witnesses=best,
             nodes_expanded=stats[0],
             frontier_peak=m - stats[1] + 1,
         )
-        for d, best in enumerate(bests))
+        for best in bests)
 
 
 def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthRecord:
     """The first weight-l leaves of one codeword's tree: its record from
     ``grow_children`` of its parent.
 
-    A node at depth d with path p is packed as the key (1 << d) | p, so keys
-    order by depth and then lexicographically by path.  From each class the
-    search walks the 0-edge chain v -> 2v mod 3^m and descends every 1-edge
-    it meets, keeping the ``want_witnesses`` smallest leaf keys of depth at
-    most depth_cap.  A leaf below a class known mod 3^m is at least m-1
-    edges away, which ends every chain at the cap or at the worst leaf kept.
+    From each class the search walks the 0-edge chain v -> 2v mod 3^m and
+    descends every 1-edge it meets, keeping the ``want_witnesses`` smallest
+    leaf keys of depth at most depth_cap.  A leaf below a class known mod
+    3^m is at least m-1 edges away, which ends every chain at the cap or at
+    the worst leaf kept.
     """
     c = check_codeword(codeword)
     if len(c) < 2:
         raise ValueError("growth needs a codeword of length >= 2 (level >= 1)")
     return grow_children(c[:-1], depth_cap, want_witnesses)[c[-1]]
-
-
-def _unpack(key: int) -> tuple[int, int]:
-    """(depth, packed path) of a node key."""
-    d = key.bit_length() - 1
-    return (d, key ^ (1 << d))
 
 
 def _worst(bests, want: int, limit: int) -> int:
@@ -277,37 +267,35 @@ def _table_leaves(v: int, m: int) -> tuple[int, int]:
 
 
 def find_companion(
-    record: GrowthRecord,
+    codeword: tuple[int, ...],
     cap: int,
     alpha: Fraction,
-    witness: tuple[int, int],
-) -> tuple[int, int] | None:
+    witness_key: int,
+) -> int | None:
     """Canonically least path of weight < l with ones-ratio >= alpha.
 
-    Returns the smallest (depth, lex) node of depth at most ``cap`` and
-    weight w in 1..l-1 with w/depth >= alpha that is not a prefix of the
-    witness, or None.  Down to weight w a codeword's tree has the shape of
-    the tree of its first w+1 digits, so the first weight-w nodes are that
-    prefix's first two leaves; one of them may lie on the witness path, and
-    then so may some of its 0-edge chain.
+    Returns the key of the smallest (depth, lex) node of depth at most
+    ``cap`` and weight w in 1..l-1 with w/depth >= alpha that is not a
+    prefix of the witness leaf whose key is ``witness_key``, or None.  Down
+    to weight w a codeword's tree has the shape of the tree of its first
+    w+1 digits, so the first weight-w nodes are that prefix's first two
+    leaves; one of them may lie on the witness path, and then so may some
+    of its 0-edge chain.
 
     The nodes searched are those of the unpruned tree.  For alpha <= 1/2
     the first qualifying one is also the first of the pruned tree, so that
     is the answer there; above 1/2, where pruning is not known to keep every
     candidate, the answer is the first qualifying node of the unpruned tree.
-    Only the record's codeword is read, so one record answers every alpha.
     """
-    c = record.codeword
-    wd, wp = witness
-    wkey = (1 << wd) | wp
+    wd = witness_key.bit_length() - 1
     an, ad = alpha.numerator, alpha.denominator
     unset = best = 1 << (cap + 1)         # keys of depth <= cap lie below
-    v = c[0]
-    for w in range(1, len(c) - 1):
+    v = codeword[0]
+    for w in range(1, len(codeword) - 1):
         # a weight-w node is w 1-edges deep at least
         if best < (2 << w) - 1:
             break
-        v += c[w] * POW3[w]
+        v += codeword[w] * POW3[w]
         limit = min(best, 1 << (min(cap, w * ad // an) + 1))
         if w + 1 <= TABLE_MAX_EXPONENT:
             leaves = [k for k in _table_leaves(v, w + 1) if k < limit]
@@ -318,18 +306,18 @@ def find_companion(
             continue
         first = leaves[0]
         d = first.bit_length() - 1
-        if not (d < wd and wkey >> (wd - d) == first):
+        if not (d < wd and witness_key >> (wd - d) == first):
             best = first
             continue
         # the witness runs on along first's 0-edge chain for ``zeros``
         # edges; the next node of that chain is the first one off its path
-        zeros = wd - d - (wp & ((1 << (wd - d)) - 1)).bit_length()
+        zeros = wd - d - (witness_key & ((1 << (wd - d)) - 1)).bit_length()
         after = first << (zeros + 1)
         if after < limit:
             best = after
         if len(leaves) > 1 and leaves[1] < best:
             best = leaves[1]
-    return None if best == unset else _unpack(best)
+    return None if best == unset else best
 
 
 class ResidueNode(NamedTuple):
@@ -343,7 +331,7 @@ class ResidueNode(NamedTuple):
 
     @property
     def path(self) -> str:
-        return path_str(self.bits, self.depth)
+        return key_path((1 << self.depth) | self.bits)
 
     @property
     def weight(self) -> int:

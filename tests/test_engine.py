@@ -133,9 +133,9 @@ class TestSiblingGrowth:
             grown.append(parent)
             return real_grow(parent, cap, want)
 
-        def decide(record, *args):
-            decided.append(record.codeword)
-            return real_decide(record, *args)
+        def decide(codeword, *args):
+            decided.append(codeword)
+            return real_decide(codeword, *args)
 
         monkeypatch.setattr(engine, "grow_children", grow)
         monkeypatch.setattr(engine, "_close_decision", decide)
@@ -171,6 +171,34 @@ class TestSiblingGrowth:
                 run(Fraction(5, 14), 6, "plain", checkpoint_path=str(cp))
         resumed = run(Fraction(5, 14), 6, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == straight.to_text()
+
+
+class TestGrowthCache:
+    def test_shared_cache_changes_no_byte(self, monkeypatch):
+        # one cache through plain and strong runs: the strong run regrows
+        # the groups the plain runs grew for one leaf, and a repeated run
+        # grows nothing
+        grown = []
+        real_grow = engine.grow_children
+
+        def grow(*args):
+            grown.append(args[0])
+            return real_grow(*args)
+
+        cache = {}
+        calls = []
+        for alpha, weight, mode in [
+                (Fraction(1, 3), 4, "plain"), (Fraction(5, 14), 6, "plain"),
+                (Fraction(1, 3), 5, "strong"), (Fraction(5, 14), 6, "plain"),
+                (Fraction(1, 3), 5, "strong")]:
+            cold = run(alpha, weight, mode).to_text()
+            grown.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "grow_children", grow)
+                assert run(alpha, weight, mode, cache=cache).to_text() == cold
+            calls.append(len(grown))
+        assert calls == [5, 11, 17, 0, 0]
+        assert set(cache) >= {(1,), (2,)}
 
 
 class TestStats:

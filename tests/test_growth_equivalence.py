@@ -21,7 +21,7 @@ from collatzcert.tree import (
     find_companion,
     grow_children,
     grow_record,
-    path_str,
+    key_path,
     walk_nodes,
 )
 
@@ -53,21 +53,22 @@ def _cap(codeword, alpha):
 
 
 def _walk_leaves(codeword, cap):
-    """The first two full-weight leaves within the cap, by the walk."""
+    """The keys of the first two full-weight leaves within the cap, by the
+    walk."""
     level = len(codeword) - 1
-    leaves = [(n.depth, n.bits)
+    leaves = [(1 << n.depth) | n.bits
               for n in walk_nodes(codeword, cap, 2) if n.weight == level]
     return leaves[:2]
 
 
 def _walk_companion(codeword, cap, alpha, witness, prune):
     level = len(codeword) - 1
-    witness_path = path_str(witness[1], witness[0])
+    witness_path = key_path(witness)
     for n in walk_nodes(codeword, cap, None, prune):
         if (0 < n.weight < level
                 and n.weight * alpha.denominator >= alpha.numerator * n.depth
                 and not witness_path.startswith(n.path)):
-            return (n.depth, n.bits)
+            return (1 << n.depth) | n.bits
     return None
 
 
@@ -84,7 +85,7 @@ def _compare(codewords, alphas_of):
             if not leaves:
                 leafless += 1
             if len(leaves) == 1:
-                got = find_companion(rec, cap, alpha, leaves[0])
+                got = find_companion(c, cap, alpha, leaves[0])
                 expected = _walk_companion(c, cap, alpha, leaves[0],
                                            prune=2 * alpha <= 1)
                 assert got == expected, (c, cap, alpha)
@@ -104,7 +105,7 @@ def test_sampled_codewords_across_the_table_boundary():
     # within the cap (a companion case when the second lies deeper) and none
     def alphas_of(c):
         level = len(c) - 1
-        first = grow_record(c, 4 * level, 1).witnesses[0][0]
+        first = grow_record(c, 4 * level, 1).witnesses[0].bit_length() - 1
         return [Fraction(13, 31), UNPRUNED_ALPHA,
                 Fraction(level, first), Fraction(level, first - 1)]
 
@@ -123,7 +124,6 @@ def _compare_children(parents, caps_of):
             leaves = [_walk_leaves(child, cap) for child in children]
             for want in (1, 2):
                 records = grow_children(parent, cap, want)
-                assert [r.codeword for r in records] == children
                 assert [r.witnesses for r in records] == \
                     [ls[:want] for ls in leaves], (parent, cap, want)
                 cases += 3
@@ -144,7 +144,7 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     # caps: 4 * level, where the walk must still stop at the worst leaf kept
     def caps_of(parent):
         level = len(parent)
-        firsts = [r.witnesses[0][0]
+        firsts = [r.witnesses[0].bit_length() - 1
                   for r in grow_children(parent, 4 * level, 1)]
         return sorted({*firsts, *(k - 1 for k in firsts), 4 * level})
 
@@ -160,10 +160,9 @@ def test_leaves_two_steps_apart_on_one_chain():
     # ending in 1 its 0-edge chain meets the 1-edges after one zero and after
     # three, so both of the child's first leaves come from it
     records = grow_children((2, 2, 1), 6, 2)
-    assert records[1].codeword == (2, 2, 1, 1)
-    assert records[1].witnesses == [(4, 13), (6, 49)]
-    assert [path_str(p, d) for d, p in records[1].witnesses] == \
-        ["1101", "110001"]
+    assert records[1] == grow_record((2, 2, 1, 1), 6, 2)
+    assert records[1].witnesses == [29, 113]
+    assert [key_path(k) for k in records[1].witnesses] == ["1101", "110001"]
 
 
 def test_best_ratios_of_stuck_codewords():

@@ -8,8 +8,7 @@ from collatzcert.tree import (
     count_structures,
     find_companion,
     grow_record,
-    path_bits,
-    path_str,
+    key_path,
     structure_signature,
     walk_integers,
     walk_nodes,
@@ -23,7 +22,11 @@ def all_codewords(length):
 
 
 def _paths(record):
-    return [path_str(p, d) for d, p in record.witnesses]
+    return [key_path(key) for key in record.witnesses]
+
+
+def _depth(key):
+    return key.bit_length() - 1
 
 
 class TestGrowCritical:
@@ -38,7 +41,7 @@ class TestGrowCritical:
     )
     def test_reference_rows(self, display, cap, want, depth, witnesses):
         r = grow_record(codeword_from_display(display), cap, want)
-        assert r.witnesses[0][0] == depth
+        assert _depth(r.witnesses[0]) == depth
         assert _paths(r) == witnesses
 
     def test_no_criticality_within_cap(self):
@@ -62,7 +65,7 @@ class TestGrowCritical:
         # below the critical depth no full-weight node exists, pruned or not
         for length in (2, 3, 4, 5):
             for c in all_codewords(length):
-                k = grow_record(c, 60).witnesses[0][0]
+                k = _depth(grow_record(c, 60).witnesses[0])
                 if k > 1:
                     unpruned = walk_nodes(c, k - 1, None, prune=False)
                     assert all(n.weight < len(c) - 1 for n in unpruned)
@@ -70,7 +73,7 @@ class TestGrowCritical:
     def test_pruning_does_not_change_the_outcome(self):
         for c in all_codewords(4):
             fast = grow_record(c, 12, 2)
-            slow = [(n.depth, n.bits)
+            slow = [(1 << n.depth) | n.bits
                     for n in walk_nodes(c, 12, 2, prune=False)
                     if n.weight == len(c) - 1]
             assert fast.witnesses == slow[:2]
@@ -86,7 +89,7 @@ class TestGrowthRecord:
         assert not short.usable_for(4, 1)       # a deeper cap may find one
         assert not short.usable_for(3, 2)       # grown for one witness only
         found = grow_record(c, 10)
-        assert [path_str(p, d) for d, p in found.witnesses] == ["0001"]
+        assert _paths(found) == ["0001"]
         assert found.usable_for(40, 1) and found.usable_for(3, 1)
         assert found.witnesses_within(3) == []
 
@@ -114,16 +117,18 @@ class TestCompanions:
             "1021": (9, "000101"),
         }
         for display, (cap, expected) in cases.items():
-            rec = grow_record(codeword_from_display(display), cap, 2)
+            c = codeword_from_display(display)
+            rec = grow_record(c, cap, 2)
             assert len(rec.witnesses) == 1
-            got = find_companion(rec, cap, Fraction(1, 3), rec.witnesses[0])
+            got = find_companion(c, cap, Fraction(1, 3), rec.witnesses[0])
             assert got is not None
-            assert path_str(got[1], got[0]) == expected
+            assert key_path(got) == expected
 
     def test_prefixes_of_the_witness_are_skipped(self):
-        rec = grow_record(codeword_from_display("011"), 6, 2)
-        assert [path_str(p, d) for d, p in rec.witnesses] == ["01001"]
-        assert find_companion(rec, 6, Fraction(1, 3), rec.witnesses[0]) is None
+        c = codeword_from_display("011")
+        rec = grow_record(c, 6, 2)
+        assert _paths(rec) == ["01001"]
+        assert find_companion(c, 6, Fraction(1, 3), rec.witnesses[0]) is None
 
     def test_answers_above_half(self):
         # above ratio 1/2 pruning is not known to keep every candidate, so
@@ -133,9 +138,9 @@ class TestCompanions:
             c = codeword_from_display(display)
             cap = (len(c) - 1) * 5 // 3
             rec = grow_record(c, cap, 2)
-            assert [path_str(p, d) for d, p in rec.witnesses] == [witness]
-            got = find_companion(rec, cap, Fraction(3, 5), rec.witnesses[0])
-            assert path_str(got[1], got[0]) == expected
+            assert _paths(rec) == [witness]
+            got = find_companion(c, cap, Fraction(3, 5), rec.witnesses[0])
+            assert key_path(got) == expected
 
 
 class TestPrunedInverse:
@@ -303,9 +308,6 @@ class TestFrontierCensus:
 
 class TestPaths:
     def test_path_round_trip(self):
+        # a node's key is a 1 followed by its edge labels
         for s in ("", "0", "1", "0101", "000100000111"):
-            assert path_str(*path_bits(s)) == s
-
-    def test_rejects_bad_strings(self):
-        with pytest.raises(ValueError):
-            path_bits("012")
+            assert key_path(int("1" + s, 2)) == s
