@@ -187,10 +187,10 @@ def _cmd_max_alpha(args) -> int:
     alpha, cert = sweep.level(args.level)
     if _refuted(cert):
         return EXIT_INVALID
-    print(f"{alpha.numerator}/{alpha.denominator} {cert.size} "
-          f"{args.level} {cert.max_depth()}")
     if args.out:
         save_certificate(cert, args.out)
+    print(f"{alpha.numerator}/{alpha.denominator} {cert.size} "
+          f"{args.level} {cert.max_depth()}")
     return EXIT_OK
 
 

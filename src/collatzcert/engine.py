@@ -5,11 +5,12 @@ pass takes them in canonical codeword order, grows each one's tree within
 its own level's depth cap (or takes it from the growth memo) and closes,
 leaves stuck or splits it; the splits form the next pass's frontier.
 Siblings sit together in that order, so the trees of a group of them are
-grown in one walk of their parent's tree, and the memo holds the group's
-three records under the parent.  The close decision reads a record's leaf
-keys and renders the ones it keeps as paths.  Splitting a codeword into its
-three one-digit extensions preserves the prefix-code property, which is
-asserted as an exact Kraft identity after every pass.
+grown in one lookup of their parent's tree (three table reads up to level
+9, one walk above it), and the memo holds the group's three records under
+the parent.  The close decision reads a record's leaf keys and renders the
+ones it keeps as paths.  Splitting a codeword into its three one-digit
+extensions preserves the prefix-code property, which is asserted as an
+exact Kraft identity after every pass.
 """
 
 from __future__ import annotations

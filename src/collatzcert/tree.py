@@ -3,15 +3,17 @@
 A codeword of length l+1 names a residue class mod 3^(l+1) and roots a tree
 grown by the pruned inverse map.  Each 1-edge costs one level of modulus
 knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
-reaching weight l (m=1) is frozen as a witness leaf.  Growth is a depth-first
-search for the first witness leaves: what lies below a node depends only on
-its class mod 3^m, a leaf is at least m-1 edges below it, and the first two
-leaves below every class with m <= 10 are memoised in tables that all
-growths share.
+reaching weight l (m=1) is frozen as a witness leaf.  Growth is a search
+for the first witness leaves: what lies below a node depends only on its
+class mod 3^m, and a leaf is at least m-1 edges below it.  Every query the
+search makes is one call of ``_leaves``: a node known mod 3 is a leaf, the
+first two leaves below every class with m <= 10 are memoised in tables
+that all growths share, and a coarser node is walked depth-first along its
+0-edge chain, asking ``_leaves`` of each 1-edge child.
 
 The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
-leaves of c·0, c·1 and c·2 in one walk, since up to weight l their trees
+leaves of c·0, c·1 and c·2 in one lookup, since up to weight l their trees
 have the shape of the tree of c and their classes differ by a known
 multiple of the top power of 3.  ``grow_record`` is its view for one
 codeword.
@@ -56,7 +58,8 @@ def key_path(key: int) -> str:
 
 # Classes known mod 3^m for m <= TABLE_MAX_EXPONENT get their first two
 # leaves memoised.  For m <= 10 the second leaf lies at most 23 edges below
-# its class, well inside the 61 that a signed 64-bit slot can hold.
+# its class (test_leaf_tables_from_fresh), well inside the 61 that a signed
+# 64-bit slot can hold.
 TABLE_MAX_EXPONENT = 10
 _TABLE_KEY_LIMIT = 1 << 62
 
@@ -74,10 +77,11 @@ class GrowthRecord:
     within ``cap``, ascending, which is canonical order.  Fewer than
     ``want`` means there are no more within the cap; ``want`` of them are
     the first ``want`` leaves at any depth.  ``nodes_expanded`` counts the
-    1-edges the search followed (table fills excluded) and
-    ``frontier_peak`` is the deepest search stack.  Both describe the walk
-    that grew the record, which ``grow_children`` shares among three
-    siblings, so the three records carry the same two numbers.  The engine
+    1-edges the search walked (table fills excluded) and
+    ``frontier_peak`` is the deepest search stack.  Both describe the
+    lookup that grew the record, which ``grow_children`` shares among three
+    siblings, so the three records carry the same two numbers; a group
+    answered from the tables walked nothing and reports 0 and 1.  The engine
     keeps the three together, by parent, and ``usable_for`` tells whether
     a record answers a later query.
     """
@@ -101,16 +105,16 @@ class GrowthRecord:
 def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
                   ) -> tuple[GrowthRecord, GrowthRecord, GrowthRecord]:
     """Growth records of the three one-digit extensions c·0, c·1, c·2 of a
-    codeword c, from one depth-first walk of their shared tree.
+    codeword c, from one lookup of their shared tree.
 
     Up to weight l the tree of c·d has the shape of the tree of c, and a
     node of depth D known mod 3^m in the tree of c·0 has the class
-    v + d·2^D·3^(m-1) mod 3^m in the tree of c·d.  So one walk of the tree
-    of c·0 serves all three: where a table answers a subtree it is asked
-    for each sibling's class, and a 0-edge chain is cut at the worst leaf
-    kept for any of them.  The siblings branch differently only from a
-    node known mod 9 on, and there each walks its own chain.  Each record
-    equals ``grow_record(c + (d,), depth_cap, want_witnesses)``.
+    v + d·2^D·3^(m-1) mod 3^m in the tree of c·d.  So one ``_leaves`` of
+    the root of c·0 serves all three: a table answers each sibling's class
+    at once, which is the whole lookup when c has at most 9 digits, and a
+    walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
+    any of them.  Each record equals
+    ``grow_record(c + (d,), depth_cap, want_witnesses)``.
     """
     c = check_codeword(codeword)
     if c[0] == 0:
@@ -124,8 +128,8 @@ def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
     m = len(c) + 1
     limit = 1 << (depth_cap + 1)
     stats = [0, m]
-    _descend(codeword_value(c), m, 1, bests, want_witnesses, limit, limit,
-             stats)
+    _leaves(codeword_value(c), m, 1, bests, want_witnesses, limit, limit,
+            stats)
     return tuple(
         GrowthRecord(
             cap=depth_cap,
@@ -141,11 +145,11 @@ def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthReco
     """The first weight-l leaves of one codeword's tree: its record from
     ``grow_children`` of its parent.
 
-    From each class the search walks the 0-edge chain v -> 2v mod 3^m and
-    descends every 1-edge it meets, keeping the ``want_witnesses`` smallest
-    leaf keys of depth at most depth_cap.  A leaf below a class known mod
-    3^m is at least m-1 edges away, which ends every chain at the cap or at
-    the worst leaf kept.
+    From each class walked the search follows the 0-edge chain
+    v -> 2v mod 3^m and looks up the leaves of every 1-edge child it meets,
+    keeping the ``want_witnesses`` smallest leaf keys of depth at most
+    depth_cap.  A leaf below a class known mod 3^m is at least m-1 edges
+    away, which ends every chain at the cap or at the worst leaf kept.
     """
     c = check_codeword(codeword)
     if len(c) < 2:
@@ -153,39 +157,54 @@ def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthReco
     return grow_children(c[:-1], depth_cap, want_witnesses)[c[-1]]
 
 
-def _worst(bests, want: int, limit: int) -> int:
-    """The key a leaf must beat to be kept in one of ``bests``."""
-    worst = 0
-    for best in bests:
-        if len(best) < want:
-            return limit
-        if best[-1] > worst:
-            worst = best[-1]
-    return worst
-
-
-def _descend(v: int, m: int, key: int, bests, want: int, limit: int,
-             bound: int, stats: list[int]) -> int:
-    """Merge the leaves below a node, whose key is ``key``, into ``bests``.
+def _leaves(v: int, m: int, key: int, bests, want: int, limit: int,
+            bound: int, stats: list[int]) -> int:
+    """Merge the first leaves below a node, whose key is ``key``, into
+    ``bests``, and return the key a leaf must now beat to be kept.
 
     ``bests[d]`` collects the ``want`` smallest leaf keys below ``limit``,
     sorted, of the tree in which the node has the class
-    v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list walks one tree,
-    three walk three siblings at once.  ``bound`` is the key a leaf must
-    beat to be kept in one of them, and the new bound is returned.
-    ``stats[0]`` counts the 1-edges followed and ``stats[1]`` tracks the
-    smallest exponent entered, and so the depth of the search stack.
+    v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list serves one
+    tree, three serve three siblings at once.  ``bound`` is the key a leaf
+    must beat to be kept in one of them.  A node known mod 3 is its own
+    leaf, one known mod 3^m with m <= TABLE_MAX_EXPONENT is answered by the
+    tables, and a coarser one is walked.  Siblings differ mod 9 only at a
+    node known mod 9, which the tables answer, so a node known mod 3 is met
+    only in the walk of a single tree.
+    """
+    if m > TABLE_MAX_EXPONENT:
+        return _walk(v, m, key, bests, want, limit, bound, stats)
+    # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
+    mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
+    # the smallest leaf key below the node is its key followed by m-1 ones
+    least = ((key + 1) << (m - 1)) - 1
+    bound = 0
+    for best in bests:
+        worst = best[-1] if len(best) == want else limit
+        if least < worst:
+            for rel in (_table_leaves(v, m) if m > 1 else (1,))[:want]:
+                leaf = ((key - 1) << (rel.bit_length() - 1)) + rel
+                if leaf >= worst:
+                    break
+                _keep(best, leaf, want)
+                worst = best[-1] if len(best) == want else limit
+        if worst > bound:
+            bound = worst
+        v = (v + step) % mod
+    return bound
+
+
+def _walk(v: int, m: int, key: int, bests, want: int, limit: int,
+          bound: int, stats: list[int]) -> int:
+    """``_leaves`` of a node known mod 3^m, by walking its 0-edge chain.
+
+    Every 1-edge off the chain leads to a child known mod 3^(m-1), whose
+    leaves ``_leaves`` merges.  ``stats[0]`` counts the 1-edges followed
+    and ``stats[1]`` tracks the smallest exponent walked, and so the depth
+    of the search stack.
     """
     if m < stats[1]:
         stats[1] = m
-    if m == 2 and len(bests) > 1:
-        # known mod 9, the siblings branch apart: one chain each (only the
-        # root of a walk gets here, since tables answer every deeper node)
-        twos = 2 - (key.bit_length() & 1)         # 2^D mod 3
-        for d, best in enumerate(bests):
-            _descend((v + 3 * d * twos) % 9, 2, key, (best,), want, limit,
-                     _worst((best,), want, limit), stats)
-        return _worst(bests, want, limit)
     mod, sub, reach = POW3[m], POW3[m - 1], m - 1
     # along a 0-edge chain v mod 9 runs through 1, 2, 4, 8, 7, 5, so the
     # 1-edges leave at 2 and 8, two and four steps apart
@@ -198,32 +217,8 @@ def _descend(v: int, m: int, key: int, bests, want: int, limit: int,
     top = (bound >> reach) - 1
     while key <= top:
         steps += 1
-        child = ((v + v - 1) // 3) % sub
-        ckey = key + key + 1
-        if reach == 1:
-            _keep(bests[0], ckey, want)
-            bound = _worst(bests, want, limit)
-        elif reach <= TABLE_MAX_EXPONENT:
-            least = ((ckey + 1) << (reach - 1)) - 1
-            # from one sibling's tree to the next the child's class steps
-            # by 2^(D+1)·3^(reach-1), D being the node's depth
-            shift = (1 + (key.bit_length() & 1)) * POW3[reach - 1]
-            bound = 0
-            for best in bests:
-                worst = best[-1] if len(best) == want else limit
-                if least < worst:
-                    for rel in _table_leaves(child, reach)[:want]:
-                        leaf = ((ckey - 1) << (rel.bit_length() - 1)) + rel
-                        if leaf >= worst:
-                            break
-                        _keep(best, leaf, want)
-                        worst = best[-1] if len(best) == want else limit
-                if worst > bound:
-                    bound = worst
-                child = (child + shift) % sub
-        else:
-            bound = _descend(child, reach, ckey, bests, want, limit, bound,
-                             stats)
+        bound = _leaves(((v + v - 1) // 3) % sub, reach, key + key + 1,
+                        bests, want, limit, bound, stats)
         top = (bound >> reach) - 1
         if r == 2:
             v, key, r = (v << 2) % mod, key << 2, 8
@@ -248,7 +243,8 @@ def _table_leaves(v: int, m: int) -> tuple[int, int]:
     """Relative keys of the first two leaves below the class v mod 3^m.
 
     A miss fills the slots of all three classes that agree with v mod
-    3^(m-1), in one walk.
+    3^(m-1), in one walk; for m == 2 they differ mod 9, where a 0-edge
+    chain branches, and each walks alone.
     """
     table = _leaf_tables[m]
     if table is None:
@@ -258,8 +254,13 @@ def _table_leaves(v: int, m: int) -> tuple[int, int]:
         sub = POW3[m - 1]
         base = v % sub
         bests: tuple[list[int], ...] = ([], [], [])
-        _descend(base, m, 1, bests, 2, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
-                 [0, m])
+        if m > 2:
+            _walk(base, m, 1, bests, 2, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
+                  [0, m])
+        else:
+            for d, best in enumerate(bests):
+                _walk(base + d * sub, 2, 1, (best,), 2, _TABLE_KEY_LIMIT,
+                      _TABLE_KEY_LIMIT, [0, 2])
         for d, best in enumerate(bests):
             j = 2 * (base + d * sub)
             table[j], table[j + 1] = best
@@ -279,8 +280,8 @@ def find_companion(
     prefix of the witness leaf whose key is ``witness_key``, or None.  Down
     to weight w a codeword's tree has the shape of the tree of its first
     w+1 digits, so the first weight-w nodes are that prefix's first two
-    leaves; one of them may lie on the witness path, and then so may some
-    of its 0-edge chain.
+    leaves, which ``_leaves`` gives from a table or a walk; one of them may
+    lie on the witness path, and then so may some of its 0-edge chain.
 
     The nodes searched are those of the unpruned tree.  For alpha <= 1/2
     the first qualifying one is also the first of the pruned tree, so that
@@ -297,11 +298,8 @@ def find_companion(
             break
         v += codeword[w] * POW3[w]
         limit = min(best, 1 << (min(cap, w * ad // an) + 1))
-        if w + 1 <= TABLE_MAX_EXPONENT:
-            leaves = [k for k in _table_leaves(v, w + 1) if k < limit]
-        else:
-            leaves = []
-            _descend(v, w + 1, 1, (leaves,), 2, limit, limit, [0, w + 1])
+        leaves: list[int] = []
+        _leaves(v, w + 1, 1, (leaves,), 2, limit, limit, [0, w + 1])
         if not leaves:
             continue
         first = leaves[0]

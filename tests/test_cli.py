@@ -177,6 +177,11 @@ class TestMaxAlphaCommand:
     def test_bad_level_is_usage_error(self, capsys):
         assert main(["max-alpha", "--level", "0"]) == 3
 
+    def test_unwritable_out_prints_no_row(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "level2.cert")
+        assert main(["max-alpha", "--level", "2", "--out", out]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestTrajectoryCommand:
     def test_small(self, capsys):

@@ -7,13 +7,16 @@ The codewords are every one of length at most 6 and seeded samples at
 levels 10..15, whose roots lie above the exponent-10 leaf tables and whose
 subtrees reach into them.  ``grow_children`` is held to the walk of each
 of the three children, of every parent of length at most 6 and of seeded
-parents at levels 9..16.  ``best_ratio``, which is itself a walk, is pinned
-to the best ratios that the earlier breadth-first growth reported.
+parents at levels 9..16.  The leaf tables are filled from fresh and every
+slot is checked, against the walk for m <= 6.  ``best_ratio``, which is
+itself a walk, is pinned to the best ratios that the earlier breadth-first
+growth reported.
 """
 
 import random
 from fractions import Fraction
 
+from collatzcert import tree
 from collatzcert.numth import POW3, codeword_from_display, codeword_of_int
 from collatzcert.tree import (
     TABLE_MAX_EXPONENT,
@@ -153,6 +156,33 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     assert 9 + 2 > TABLE_MAX_EXPONENT
     parents = _sampled_codewords(range(9, 17), per_level=3, seed=2025)
     assert _compare_children(parents, caps_of) >= 24 * 3 * 6
+
+
+def test_leaf_tables_from_fresh(monkeypatch):
+    """Every slot of fresh tables, filled as the queries miss: two
+    increasing keys, the second at most 23 edges deep, and for m <= 6 the
+    first two leaves of the walk.
+
+    Classes divisible by 3 are not queried: their 0-edge chain never meets
+    2 or 8 mod 9, so a walk from one would never end.  No root, child or
+    prefix of a codeword is such a class.
+    """
+    monkeypatch.setattr(tree, "_leaf_tables",
+                        [None] * (TABLE_MAX_EXPONENT + 1))
+    deepest = walked = 0
+    for m in range(2, TABLE_MAX_EXPONENT + 1):
+        for v in range(1, POW3[m]):
+            if v % 3 == 0:
+                continue
+            first, second = tree._table_leaves(v, m)
+            assert 0 < first < second, (v, m)
+            deepest = max(deepest, second.bit_length() - 1)
+            if m <= 6:
+                walked += 1
+                assert [first, second] == _walk_leaves(codeword_of_int(v, m),
+                                                       23), (v, m)
+    assert walked == 726
+    assert deepest == 23
 
 
 def test_leaves_two_steps_apart_on_one_chain():
