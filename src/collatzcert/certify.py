@@ -5,11 +5,14 @@ A certificate is an exhaustive prefix-free set of ternary codewords, each
 carrying one (plain) or two (strong) edge-label paths that replay in the
 pruned tree of the named residue class with ones-ratio at least alpha.  The
 verifier only replays the given paths; it shares no growth code with the
-search.
+search.  Its per-entry work is the replay itself: an entry's display is
+rendered only to label a violation, and the Kraft sum is counted in
+integers, with a Fraction built only to word a failure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -161,48 +164,55 @@ def replay_path(codeword, path: str) -> Violation | None:
 
 def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> list[Violation]:
     """Every violation of one entry on its own: replay, weights, ratio floor
-    and, in strong mode, the pair's mutual non-prefixness."""
-    out = []
-    disp = entry.display
+    and, in strong mode, the pair's mutual non-prefixness.  Each is labelled
+    with the entry's display, rendered only for an entry that has one."""
+    found = []                      # (path index, position, reason)
     want_paths = 2 if mode == STRONG else 1
     if len(entry.paths) != want_paths:
-        out.append(Violation(disp, None, None,
-                             f"{mode} entry carries {len(entry.paths)} paths, needs {want_paths}"))
+        found.append((None, None,
+                      f"{mode} entry carries {len(entry.paths)} paths, needs {want_paths}"))
     level = entry.level
     for i, p in enumerate(entry.paths):
         if not p:
-            out.append(Violation(disp, i, None, "empty path"))
+            found.append((i, None, "empty path"))
             continue
         v = replay_path(entry.codeword, p)
         if v is not None:
-            out.append(Violation(disp, i, v.position, v.reason))
+            found.append((i, v.position, v.reason))
             continue
         w = p.count("1")
         if w > level:
-            out.append(Violation(disp, i, None, f"path weight {w} exceeds level {level}"))
+            found.append((i, None, f"path weight {w} exceeds level {level}"))
         elif w == level and p[-1] != "1":
-            out.append(Violation(disp, i, None, "full-weight path must end with a 1-edge"))
+            found.append((i, None, "full-weight path must end with a 1-edge"))
         if w * alpha.denominator < alpha.numerator * len(p):
-            out.append(Violation(
-                disp, i, None,
-                f"ones-ratio {w}/{len(p)} below alpha "
-                f"{alpha.numerator}/{alpha.denominator}"))
+            found.append((i, None,
+                          f"ones-ratio {w}/{len(p)} below alpha "
+                          f"{alpha.numerator}/{alpha.denominator}"))
     if mode == STRONG and len(entry.paths) == 2:
         a, b = entry.paths
         if a.startswith(b) or b.startswith(a):
-            out.append(Violation(disp, None, None, "the two paths are prefix-related"))
-    return out
+            found.append((None, None, "the two paths are prefix-related"))
+    if not found:
+        return []
+    disp = entry.display
+    return [Violation(disp, i, position, reason) for i, position, reason in found]
 
 
-def code_violations(codewords) -> list[Violation]:
+def code_violations(codewords: list[tuple[int, ...]]) -> list[Violation]:
     """Whole-code checks: no codeword listed twice or a prefix of another,
-    and a Kraft sum of exactly 1 together with the reserved word (0)."""
+    and a Kraft sum of exactly 1 together with the reserved word (0).
+
+    The Kraft sum is counted in units of 3^-L, L the longest length, so it
+    stays in integers; a Fraction is built only to word a failure."""
     out: list[Violation] = []
-    seen: set[tuple[int, ...]] = set()
-    for c in codewords:
-        if c in seen:
-            out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
-        seen.add(c)
+    seen = set(codewords)
+    if len(seen) < len(codewords):
+        seen = set()
+        for c in codewords:
+            if c in seen:
+                out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
+            seen.add(c)
     words = sorted(seen)
     for a, b in zip(words, words[1:]):
         if b[: len(a)] == a:
@@ -210,8 +220,12 @@ def code_violations(codewords) -> list[Violation]:
                 codeword_display(a), None, None,
                 f"prefix of fellow codeword {codeword_display(b)}"))
 
-    total = Fraction(1, 3) + sum(Fraction(1, POW3[len(c)]) for c in codewords)
-    if total != 1:
+    per_length = Counter(map(len, codewords))
+    top = max([1, *per_length])
+    units = POW3[top - 1] + sum(n * POW3[top - length]
+                                for length, n in per_length.items())
+    if units != POW3[top]:
+        total = Fraction(units, POW3[top])
         out.append(Violation(
             None, None, None,
             f"Kraft sum {total - Fraction(1, 3)} + 1/3 = {total} != 1 (code not exhaustive)"))
@@ -307,7 +321,7 @@ def parse_entry(line: str) -> CertificateEntry:
     for length_s, path in zip(parts[2::2], parts[3::2]):
         if not _is_number(length_s) or int(length_s) != len(path):
             raise ValueError(f"path length {length_s} != {len(path)}")
-        if any(ch not in "01" for ch in path):
+        if path.strip("01"):
             raise ValueError(f"bad path string {path!r}")
         paths.append(path)
     return CertificateEntry(codeword=codeword, paths=tuple(paths))

@@ -4,12 +4,13 @@ reports, witness chains, tree dumps, and per-level statistics.
 Exit codes: 0 success, 1 invalid certificate (one read that does not
 parse or verify, or one about to be written that does not verify), 2
 search unclosed, 3 usage or unusable input such as a checkpoint that
-cannot be resumed.
+cannot be resumed or an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -123,11 +124,32 @@ def _refuted(cert) -> bool:
     return bool(violations)
 
 
+def _unwritable(path) -> bool:
+    """Whether an ``--out`` path cannot be written, judged without creating
+    or truncating it, so that a search is refused before it runs; prints
+    why, if it cannot."""
+    if not path:
+        return False
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        why = f"no directory {folder}"
+    elif os.path.isdir(path):
+        why = "is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = "not writable"
+    else:
+        return False
+    print(f"error: --out {path}: {why}", file=sys.stderr)
+    return True
+
+
 def _cmd_search(args) -> int:
     mode = STRONG if args.strong else PLAIN
     if args.max_weight > UNGUARDED_MAX_WEIGHT and not args.force:
         print(f"error: --max-weight {args.max_weight} beyond "
               f"{UNGUARDED_MAX_WEIGHT} needs --force", file=sys.stderr)
+        return EXIT_USAGE
+    if _unwritable(args.out):
         return EXIT_USAGE
     outcome = engine.run(args.alpha, args.max_weight, mode,
                          checkpoint_path=args.checkpoint)
@@ -182,6 +204,8 @@ def _cmd_max_alpha(args) -> int:
     if args.level < 1:
         print("error: --level must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if _unwritable(args.out):
+        return EXIT_USAGE
     mode = STRONG if args.strong else PLAIN
     sweep = SweepState(mode=mode)
     alpha, cert = sweep.level(args.level)
@@ -212,9 +236,17 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_witnesses(args) -> int:
     cert = _load(args.cert)
-    if cert is None or _refuted(cert):
+    if cert is None:
         return EXIT_INVALID
-    records = witnesses(cert, args.anchor, args.count, breadth=args.breadth)
+    try:
+        # witnesses() verifies the certificate itself
+        records = witnesses(cert, args.anchor, args.count, breadth=args.breadth)
+    except ValueError:
+        # print every violation, not only the first; any other refusal is
+        # a usage error
+        if _refuted(cert):
+            return EXIT_INVALID
+        raise
     for r in records:
         print(f"{r.n} {r.k} {r.ratio.numerator}/{r.ratio.denominator}")
     return EXIT_OK

@@ -2,7 +2,10 @@
 
 Forward iteration (trajectories and their statistics), the multivalued
 inverse map, and ternary codewords: validation, display and the residue
-class values they name.
+class values they name.  Codeword text is made and read by byte
+translation and checked by set and string operations, so a line of a
+certificate or checkpoint costs a few C-level calls, not a Python step per
+digit.
 All decisions are made in exact arithmetic; the only float anywhere is the
 log-scaled stopping ratio.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 # Codeword lengths (and residue exponents) are capped so residue values stay
 # bounded by 3^81; the search never needs more at any reachable scale.
@@ -23,6 +27,12 @@ POW3 = [3**i for i in range(MAX_CODEWORD_LEN + 2)]
 BRANCHING_MOD9 = (2, 8)
 
 DEFAULT_TRAJECTORY_CAP = 100_000
+
+# codeword text is translated a byte at a time, digit d <-> character "d"
+_DIGITS = frozenset((0, 1, 2))
+_INT_TYPE = frozenset((int,))
+_DIGIT_TO_CHAR = bytes.maketrans(b"\0\1\2", b"012")
+_CHAR_TO_DIGIT = bytes.maketrans(b"012", b"\0\1\2")
 
 
 def t_map(n: int) -> int:
@@ -121,13 +131,15 @@ def check_codeword(digits) -> tuple[int, ...]:
 
     The low digit names the class mod 3 and must be 1 or 2; the single
     reserved word (0,) that completes the prefix code is also accepted.
+    Digits must be ints: a bool or a float equal to a digit is refused.
     """
     c = tuple(digits)
     if not c:
         raise ValueError("empty codeword")
     if len(c) > MAX_CODEWORD_LEN:
         raise ValueError(f"codeword longer than {MAX_CODEWORD_LEN} digits")
-    if any(d not in (0, 1, 2) for d in c):
+    # types first: they are always hashable, and they tell True from 1
+    if not (_INT_TYPE.issuperset(map(type, c)) and _DIGITS.issuperset(c)):
         raise ValueError(f"codeword digits must be 0, 1 or 2: {c}")
     if c[0] == 0 and c != (0,):
         raise ValueError("low digit 0 is reserved for the exhaustiveness word (0)")
@@ -136,20 +148,20 @@ def check_codeword(digits) -> tuple[int, ...]:
 
 def codeword_value(c) -> int:
     """The residue class a codeword names, mod 3^len: sum of c_j 3^j."""
-    return sum(d * POW3[j] for j, d in enumerate(c))
+    return sum(map(mul, c, POW3))
 
 
 def codeword_display(c) -> str:
     """Print digits most-significant-first, preserving leading zeros."""
     c = check_codeword(c)
-    return "".join(str(d) for d in reversed(c))
+    return bytes(c[::-1]).translate(_DIGIT_TO_CHAR).decode("ascii")
 
 
 def codeword_from_display(s: str) -> tuple[int, ...]:
     """Parse a most-significant-first digit string back into a codeword."""
-    if not s or any(ch not in "012" for ch in s):
+    if not s or s.strip("012"):
         raise ValueError(f"bad ternary display string {s!r}")
-    return check_codeword(tuple(int(ch) for ch in reversed(s)))
+    return check_codeword(s[::-1].encode("ascii").translate(_CHAR_TO_DIGIT))
 
 
 def codeword_of_int(n: int, length: int) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import pytest
 
 from tables import reference_plain_text, reference_strong_text
 
-from collatzcert import cli
+from collatzcert import certify, cli
 from collatzcert.certify import parse_certificate
 from collatzcert.cli import main
 
@@ -100,6 +100,54 @@ class TestSearchCommand:
         assert main(["search", "--alpha", "1/4", "--max-weight", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("certificate v1 mode=plain alpha=1/4\n")
+
+
+class TestUnwritableOutIsRefusedFirst:
+    """An ``--out`` that cannot be written is refused, with exit 3, before
+    any tree is grown, and the path is neither created nor truncated."""
+
+    @pytest.fixture
+    def no_growth(self, monkeypatch):
+        def grow(*args, **kwargs):
+            raise AssertionError("grow_children called")
+        monkeypatch.setattr(cli.engine, "grow_children", grow)
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--alpha", "1/3", "--max-weight", "4"],
+        ["max-alpha", "--level", "2"],
+    ])
+    def test_missing_directory(self, tmp_path, capsys, no_growth, argv):
+        out = tmp_path / "missing" / "x.cert"
+        assert main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out}: no directory {out.parent}\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--alpha", "1/3", "--max-weight", "4"],
+        ["max-alpha", "--level", "2"],
+    ])
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys, no_growth,
+                                          argv):
+        out = tmp_path / "taken"
+        (out / "inside").mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+        assert [p.name for p in out.iterdir()] == ["inside"]
+
+    def test_writable_out_is_left_to_the_search(self, tmp_path, monkeypatch):
+        # an existing file in a writable folder passes the check untouched
+        out = tmp_path / "old.cert"
+        out.write_text("old\n")
+        def run(*args, **kwargs):
+            raise RuntimeError("search ran")
+
+        monkeypatch.setattr(cli.engine, "run", run)
+        with pytest.raises(RuntimeError, match="search ran"):
+            main(["search", "--alpha", "1/3", "--max-weight", "4",
+                  "--out", str(out)])
+        assert out.read_text() == "old\n"
 
 
 class TestSearchVerifiesBeforeWriting:
@@ -219,6 +267,29 @@ class TestWitnessesCommand:
     def test_bad_anchor_is_usage_error(self, plain_cert_file, capsys):
         assert main(["witnesses", "--cert", plain_cert_file,
                      "--anchor", "9", "--count", "1"]) == 3
+
+    def test_valid_certificate_is_verified_once(self, plain_cert_file,
+                                                monkeypatch, capsys):
+        calls = []
+        real = certify.verify
+
+        def counted(cert):
+            calls.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(certify, "verify", counted)
+        monkeypatch.setattr(cli, "verify", counted)
+        assert main(["witnesses", "--cert", plain_cert_file,
+                     "--anchor", "41", "--count", "3"]) == 0
+        assert len(calls) == 1
+
+    def test_bad_anchor_on_invalid_certificate_lists_violations(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.cert"
+        path.write_text(_broken_certificate().to_text())
+        assert main(["witnesses", "--cert", str(path),
+                     "--anchor", "9", "--count", "3"]) == 1
+        assert capsys.readouterr().out.startswith("invalid: entry 12, path 1")
 
     def test_invalid_certificate_gives_no_chain(self, tmp_path, capsys):
         path = tmp_path / "bad.cert"
