@@ -206,13 +206,11 @@ def code_violations(codewords: list[tuple[int, ...]]) -> list[Violation]:
     The Kraft sum is counted in units of 3^-L, L the longest length, so it
     stays in integers; a Fraction is built only to word a failure."""
     out: list[Violation] = []
-    seen = set(codewords)
-    if len(seen) < len(codewords):
-        seen = set()
-        for c in codewords:
-            if c in seen:
-                out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
-            seen.add(c)
+    seen: set[tuple[int, ...]] = set()
+    for c in codewords:
+        if c in seen:
+            out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
+        seen.add(c)
     words = sorted(seen)
     for a, b in zip(words, words[1:]):
         if b[: len(a)] == a:
