@@ -28,7 +28,8 @@ from .numth import (
 )
 PLAIN = "plain"
 STRONG = "strong"
-SWEEP_BASE_ALPHA = Fraction(1, 6)
+# below every champion: its Farey successor at cap depth_cap(1, 1/7) = 7 is 1/6
+SWEEP_FLOOR = Fraction(1, 7)
 
 
 @dataclass(frozen=True)
@@ -375,22 +376,24 @@ def farey_successor(x: Fraction, n: int) -> Fraction:
 class SweepState:
     """Incremental maximal-ratio search, one level at a time.
 
-    Level l starts from the champion ratio ρ of level l-1 (level 1 from the
-    certificate at SWEEP_BASE_ALPHA) and repeatedly tests the least
-    fraction above ρ whose denominator is at most depth_cap(l, ρ): a
-    successful search promotes the champion to the certificate's own
-    minimum path ratio (the bound it actually proves), a failure ends the
-    level.  No ratio in between needs a search: every ratio a search at
-    level l above ρ compares alpha with is a path ratio of depth at most
-    that cap, so every test in between decides exactly as this one does.
+    Level l starts from the champion ratio ρ of level l-1 (level 1 from
+    SWEEP_FLOOR, whose first test, 1/6, closes at weight 1 in both modes)
+    and repeatedly tests the least fraction above ρ whose denominator is at
+    most depth_cap(l, ρ): a successful search promotes the champion to the
+    certificate's own minimum path ratio (the bound it actually proves), a
+    failure ends the level.  No ratio in between needs a search: every
+    ratio a search at level l above ρ compares alpha with is a path ratio
+    of depth at most that cap, so every test in between decides exactly as
+    this one does.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds the three
     growth records of each group of siblings, keyed by their parent.
     """
 
     mode: str = PLAIN
-    results: dict[int, tuple[Fraction, Certificate]] = field(default_factory=dict)
-    cache: dict = field(default_factory=dict)
+    results: dict[int, tuple[Fraction, Certificate]] = field(
+        default_factory=dict, init=False)
+    cache: dict = field(default_factory=dict, init=False)
 
     def level(self, l: int) -> tuple[Fraction, Certificate]:
         if l < 1:
@@ -401,13 +404,7 @@ class SweepState:
         return self.results[l]
 
     def _run_level(self, l: int) -> None:
-        if l == 1:
-            # the base ratio closes at weight 1 in both modes
-            outcome = search(SWEEP_BASE_ALPHA, 1, self.mode, cache=self.cache)
-            champion = outcome.min_ratio()
-            champ_cert = replace(outcome, alpha=champion)
-        else:
-            champion, champ_cert = self.results[l - 1]
+        champion, champ_cert = self.results.get(l - 1, (SWEEP_FLOOR, None))
         while True:
             test = farey_successor(champion, depth_cap(l, champion))
             outcome = search(test, l, self.mode, cache=self.cache)

@@ -224,7 +224,6 @@ def run(
     if not 1 <= max_weight <= MAX_CODEWORD_LEN:
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
 
-    want = 2 if mode == STRONG else 1
     frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
     stuck: list[tuple[int, ...]] = []
@@ -252,12 +251,12 @@ def run(
             parent = c[:-1]
             group = memo.get(parent)
             # siblings share a level and so a cap: a group regrown for one
-            # of them answers all three, and every later query in this mode
-            # that the old group answered
-            if group is None or not group[c[-1]].usable_for(cap, want):
+            # of them answers all three, and every later query that the old
+            # group answered
+            if group is None or not group[c[-1]].usable_for(cap):
                 if cache is None:
                     memo.clear()
-                group = memo[parent] = grow_children(parent, cap, want)
+                group = memo[parent] = grow_children(parent, cap)
             paths = _close_decision(c, group[c[-1]], cap, alpha, mode)
             if paths is not None:
                 closed.append(CertificateEntry(codeword=c, paths=paths))

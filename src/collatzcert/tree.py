@@ -4,12 +4,14 @@ A codeword of length l+1 names a residue class mod 3^(l+1) and roots a tree
 grown by the pruned inverse map.  Each 1-edge costs one level of modulus
 knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
 reaching weight l (m=1) is frozen as a witness leaf.  Growth is a search
-for the first witness leaves: what lies below a node depends only on its
-class mod 3^m, and a leaf is at least m-1 edges below it.  Every query the
-search makes is one call of ``_leaves``: a node known mod 3 is a leaf, the
-first two leaves below every class with m <= 10 are memoised in tables
-that all growths share, and a coarser node is walked depth-first along its
-0-edge chain, asking ``_leaves`` of each 1-edge child.
+for the first two witness leaves: what lies below a node depends only on
+its class mod 3^m, and a leaf is at least m-1 edges below it.  Every query
+the search makes is one call of ``_leaves``, which always keeps two: a node
+known mod 3 is a leaf, the first two leaves below every class with m <= 10
+are memoised in tables that all growths share, and a coarser node is
+walked depth-first along its 0-edge chain, asking ``_leaves`` of each
+1-edge child.  So a growth record holds what a table slot holds, the first
+two leaves, cut at its cap; plain mode reads the first, strong mode both.
 
 The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
@@ -71,23 +73,23 @@ _leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
 
 @dataclass
 class GrowthRecord:
-    """What one growth learned about a codeword's tree.
+    """What one growth learned about a codeword's tree: a table slot's
+    answer, cut at a cap.
 
-    ``witnesses`` holds the keys of the first ``want`` weight-l leaves
-    within ``cap``, ascending, which is canonical order.  Fewer than
-    ``want`` means there are no more within the cap; ``want`` of them are
-    the first ``want`` leaves at any depth.  ``nodes_expanded`` counts the
-    1-edges the search walked (table fills excluded) and
-    ``frontier_peak`` is the deepest search stack.  Both describe the
-    lookup that grew the record, which ``grow_children`` shares among three
-    siblings, so the three records carry the same two numbers; a group
-    answered from the tables walked nothing and reports 0 and 1.  The engine
-    keeps the three together, by parent, and ``usable_for`` tells whether
-    a record answers a later query.
+    ``witnesses`` holds the keys of the first two weight-l leaves within
+    ``cap``, ascending, which is canonical order.  Fewer than two means
+    there are no more within the cap; two of them are the first two leaves
+    at any depth.  ``nodes_expanded`` counts the 1-edges the search walked
+    (table fills excluded) and ``frontier_peak`` is the deepest search
+    stack.  Both describe the lookup that grew the record, which
+    ``grow_children`` shares among three siblings, so the three records
+    carry the same two numbers; a group answered from the tables walked
+    nothing and reports 0 and 1.  The engine keeps the three together, by
+    parent, and ``usable_for`` tells whether a record answers a later
+    query.
     """
 
     cap: int
-    want: int
     witnesses: list[int]
     nodes_expanded: int
     frontier_peak: int
@@ -96,13 +98,12 @@ class GrowthRecord:
         limit = 1 << (cap + 1)            # keys of depth <= cap lie below
         return [key for key in self.witnesses if key < limit]
 
-    def usable_for(self, cap: int, want: int) -> bool:
+    def usable_for(self, cap: int) -> bool:
         """Can queries at this cap be answered without regrowing?"""
-        return want <= self.want and (
-            cap <= self.cap or len(self.witnesses) >= want)
+        return cap <= self.cap or len(self.witnesses) == 2
 
 
-def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
+def grow_children(codeword, depth_cap: int
                   ) -> tuple[GrowthRecord, GrowthRecord, GrowthRecord]:
     """Growth records of the three one-digit extensions c·0, c·1, c·2 of a
     codeword c, from one lookup of their shared tree.
@@ -113,27 +114,22 @@ def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
     the root of c·0 serves all three: a table answers each sibling's class
     at once, which is the whole lookup when c has at most 9 digits, and a
     walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
-    any of them.  Each record equals
-    ``grow_record(c + (d,), depth_cap, want_witnesses)``.
+    any of them.  Each record equals ``grow_record(c + (d,), depth_cap)``.
     """
     c = check_codeword(codeword)
     if c[0] == 0:
         raise ValueError("cannot grow from the reserved codeword (0)")
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    if want_witnesses not in (1, 2):
-        raise ValueError("want_witnesses must be 1 or 2")
 
     bests: tuple[list[int], ...] = ([], [], [])
     m = len(c) + 1
     limit = 1 << (depth_cap + 1)
     stats = [0, m]
-    _leaves(codeword_value(c), m, 1, bests, want_witnesses, limit, limit,
-            stats)
+    _leaves(codeword_value(c), m, 1, bests, limit, limit, stats)
     return tuple(
         GrowthRecord(
             cap=depth_cap,
-            want=want_witnesses,
             witnesses=best,
             nodes_expanded=stats[0],
             frontier_peak=m - stats[1] + 1,
@@ -141,28 +137,28 @@ def grow_children(codeword, depth_cap: int, want_witnesses: int = 1
         for best in bests)
 
 
-def grow_record(codeword, depth_cap: int, want_witnesses: int = 1) -> GrowthRecord:
-    """The first weight-l leaves of one codeword's tree: its record from
-    ``grow_children`` of its parent.
+def grow_record(codeword, depth_cap: int) -> GrowthRecord:
+    """The first two weight-l leaves of one codeword's tree within the
+    cap: its record from ``grow_children`` of its parent.
 
     From each class walked the search follows the 0-edge chain
     v -> 2v mod 3^m and looks up the leaves of every 1-edge child it meets,
-    keeping the ``want_witnesses`` smallest leaf keys of depth at most
-    depth_cap.  A leaf below a class known mod 3^m is at least m-1 edges
-    away, which ends every chain at the cap or at the worst leaf kept.
+    keeping the two smallest leaf keys of depth at most depth_cap.  A leaf
+    below a class known mod 3^m is at least m-1 edges away, which ends
+    every chain at the cap or at the second leaf kept.
     """
     c = check_codeword(codeword)
     if len(c) < 2:
         raise ValueError("growth needs a codeword of length >= 2 (level >= 1)")
-    return grow_children(c[:-1], depth_cap, want_witnesses)[c[-1]]
+    return grow_children(c[:-1], depth_cap)[c[-1]]
 
 
-def _leaves(v: int, m: int, key: int, bests, want: int, limit: int,
-            bound: int, stats: list[int]) -> int:
-    """Merge the first leaves below a node, whose key is ``key``, into
+def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
+            stats: list[int]) -> int:
+    """Merge the first two leaves below a node, whose key is ``key``, into
     ``bests``, and return the key a leaf must now beat to be kept.
 
-    ``bests[d]`` collects the ``want`` smallest leaf keys below ``limit``,
+    ``bests[d]`` collects the two smallest leaf keys below ``limit``,
     sorted, of the tree in which the node has the class
     v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list serves one
     tree, three serve three siblings at once.  ``bound`` is the key a leaf
@@ -173,29 +169,29 @@ def _leaves(v: int, m: int, key: int, bests, want: int, limit: int,
     only in the walk of a single tree.
     """
     if m > TABLE_MAX_EXPONENT:
-        return _walk(v, m, key, bests, want, limit, bound, stats)
+        return _walk(v, m, key, bests, limit, bound, stats)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
     # the smallest leaf key below the node is its key followed by m-1 ones
     least = ((key + 1) << (m - 1)) - 1
     bound = 0
     for best in bests:
-        worst = best[-1] if len(best) == want else limit
+        worst = best[-1] if len(best) == 2 else limit
         if least < worst:
-            for rel in (_table_leaves(v, m) if m > 1 else (1,))[:want]:
+            for rel in _table_leaves(v, m) if m > 1 else (1,):
                 leaf = ((key - 1) << (rel.bit_length() - 1)) + rel
                 if leaf >= worst:
                     break
-                _keep(best, leaf, want)
-                worst = best[-1] if len(best) == want else limit
+                _keep(best, leaf)
+                worst = best[-1] if len(best) == 2 else limit
         if worst > bound:
             bound = worst
         v = (v + step) % mod
     return bound
 
 
-def _walk(v: int, m: int, key: int, bests, want: int, limit: int,
-          bound: int, stats: list[int]) -> int:
+def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
+          stats: list[int]) -> int:
     """``_leaves`` of a node known mod 3^m, by walking its 0-edge chain.
 
     Every 1-edge off the chain leads to a child known mod 3^(m-1), whose
@@ -218,7 +214,7 @@ def _walk(v: int, m: int, key: int, bests, want: int, limit: int,
     while key <= top:
         steps += 1
         bound = _leaves(((v + v - 1) // 3) % sub, reach, key + key + 1,
-                        bests, want, limit, bound, stats)
+                        bests, limit, bound, stats)
         top = (bound >> reach) - 1
         if r == 2:
             v, key, r = (v << 2) % mod, key << 2, 8
@@ -228,15 +224,15 @@ def _walk(v: int, m: int, key: int, bests, want: int, limit: int,
     return bound
 
 
-def _keep(best: list[int], leaf: int, want: int) -> None:
-    """Insert a leaf key that beats the worst one kept, keeping ``want``."""
+def _keep(best: list[int], leaf: int) -> None:
+    """Insert a leaf key that beats the worst one kept, keeping two."""
     if not best or leaf > best[-1]:
         best.append(leaf)
     elif leaf > best[0]:
         best.insert(1, leaf)
     else:
         best.insert(0, leaf)
-    del best[want:]
+    del best[2:]
 
 
 def _table_leaves(v: int, m: int) -> tuple[int, int]:
@@ -255,11 +251,11 @@ def _table_leaves(v: int, m: int) -> tuple[int, int]:
         base = v % sub
         bests: tuple[list[int], ...] = ([], [], [])
         if m > 2:
-            _walk(base, m, 1, bests, 2, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
+            _walk(base, m, 1, bests, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
                   [0, m])
         else:
             for d, best in enumerate(bests):
-                _walk(base + d * sub, 2, 1, (best,), 2, _TABLE_KEY_LIMIT,
+                _walk(base + d * sub, 2, 1, (best,), _TABLE_KEY_LIMIT,
                       _TABLE_KEY_LIMIT, [0, 2])
         for d, best in enumerate(bests):
             j = 2 * (base + d * sub)
@@ -299,7 +295,7 @@ def find_companion(
         v += codeword[w] * POW3[w]
         limit = min(best, 1 << (min(cap, w * ad // an) + 1))
         leaves: list[int] = []
-        _leaves(v, w + 1, 1, (leaves,), 2, limit, limit, [0, w + 1])
+        _leaves(v, w + 1, 1, (leaves,), limit, limit, [0, w + 1])
         if not leaves:
             continue
         first = leaves[0]

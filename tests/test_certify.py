@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tables import reference_plain_text, reference_strong_text
 
+from collatzcert import certify
 from collatzcert.certify import (
     Certificate,
     CertificateEntry,
@@ -243,6 +244,27 @@ class TestSweep:
         alpha, cert = sweep.level(4)
         assert alpha == Fraction(1, 3)
         assert cert.size == 12
+
+    @pytest.mark.parametrize("mode,top,tests", [
+        ("plain", 6, [(1, "1/6"), (1, "1/3"), (2, "2/7"), (2, "1/3"),
+                      (3, "3/10"), (3, "1/3"), (4, "4/13"), (4, "4/11"),
+                      (5, "5/14"), (5, "4/11"), (6, "4/11")]),
+        ("strong", 5, [(1, "1/6"), (1, "1/5"), (2, "2/11"), (2, "2/9"),
+                       (2, "2/7"), (3, "3/11"), (3, "3/10"), (3, "1/3"),
+                       (4, "4/13"), (4, "1/3"), (5, "5/16"), (5, "5/14")]),
+    ])
+    def test_searches_in_order(self, monkeypatch, mode, top, tests):
+        # the (level, ratio) of every search a sweep makes, in order
+        seen = []
+        real_search = certify.search
+
+        def spy(alpha, max_weight, *args, **kwargs):
+            seen.append((max_weight, f"{alpha.numerator}/{alpha.denominator}"))
+            return real_search(alpha, max_weight, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "search", spy)
+        SweepState(mode=mode).level(top)
+        assert seen == tests
 
     def test_flat_step_between_five_and_six(self):
         sweep = SweepState(mode="plain")

@@ -49,6 +49,16 @@ class TestVerifyCommand:
     def test_alpha_mismatch_exits_one(self, plain_cert_file, capsys):
         assert main(["verify", "--alpha", "1/4", plain_cert_file]) == 1
 
+    def test_header_problems_print_before_violations(self, tmp_path, capsys):
+        path = tmp_path / "bad.cert"
+        path.write_text(_broken_certificate().to_text())
+        assert main(["verify", "--alpha", "1/4", "--strong", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: header alpha 1/3 != expected 1/4\n"
+            "invalid: header mode plain != expected strong\n"
+            "invalid: entry 12, path 1, position 1: "
+            "1-edge at residue 1 mod 9, not in {2, 8}\n")
+
     def test_unparseable_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "junk.cert"
         path.write_text("certificate v1 mode=plain alpha=1/3\n02 1 1\n")

@@ -129,9 +129,9 @@ class TestSiblingGrowth:
         grown, decided = [], []
         real_grow, real_decide = engine.grow_children, engine._close_decision
 
-        def grow(parent, cap, want):
+        def grow(parent, cap):
             grown.append(parent)
-            return real_grow(parent, cap, want)
+            return real_grow(parent, cap)
 
         def decide(codeword, *args):
             decided.append(codeword)
@@ -175,8 +175,9 @@ class TestSiblingGrowth:
 
 class TestGrowthCache:
     def test_shared_cache_changes_no_byte(self, monkeypatch):
-        # one cache through plain and strong runs: the strong run regrows
-        # the groups the plain runs grew for one leaf, and a repeated run
+        # one cache through plain and strong runs: a group keeps two leaves
+        # in either mode, so the strong run regrows only the groups that
+        # hold fewer than two below a cap it goes past, and a repeated run
         # grows nothing
         grown = []
         real_grow = engine.grow_children
@@ -197,7 +198,7 @@ class TestGrowthCache:
                 mp.setattr(engine, "grow_children", grow)
                 assert run(alpha, weight, mode, cache=cache).to_text() == cold
             calls.append(len(grown))
-        assert calls == [5, 11, 17, 0, 0]
+        assert calls == [5, 11, 12, 0, 0]
         assert set(cache) >= {(1,), (2,)}
 
 

@@ -1,8 +1,9 @@
 """The depth-first growth against the breadth-first walk of the same tree.
 
 ``walk_nodes`` enumerates the pruned tree level by level in (depth, lex)
-order, so the first full-weight leaves it yields and the first qualifying
-node it yields are what ``grow_record`` and ``find_companion`` must return.
+order, so the first two full-weight leaves it yields within a cap and the
+first qualifying node it yields are what ``grow_record`` and
+``find_companion`` must return.
 The codewords are every one of length at most 6 and seeded samples at
 levels 10..15, whose roots lie above the exponent-10 leaf tables and whose
 subtrees reach into them.  ``grow_children`` is held to the walk of each
@@ -82,9 +83,7 @@ def _compare(codewords, alphas_of):
         for alpha in alphas_of(c):
             cap = _cap(c, alpha)
             leaves = _walk_leaves(c, cap)
-            assert grow_record(c, cap, 1).witnesses == leaves[:1], (c, cap)
-            rec = grow_record(c, cap, 2)
-            assert rec.witnesses == leaves, (c, cap)
+            assert grow_record(c, cap).witnesses == leaves, (c, cap)
             if not leaves:
                 leafless += 1
             if len(leaves) == 1:
@@ -108,7 +107,7 @@ def test_sampled_codewords_across_the_table_boundary():
     # within the cap (a companion case when the second lies deeper) and none
     def alphas_of(c):
         level = len(c) - 1
-        first = grow_record(c, 4 * level, 1).witnesses[0].bit_length() - 1
+        first = grow_record(c, 4 * level).witnesses[0].bit_length() - 1
         return [Fraction(13, 31), UNPRUNED_ALPHA,
                 Fraction(level, first), Fraction(level, first - 1)]
 
@@ -125,11 +124,9 @@ def _compare_children(parents, caps_of):
         for cap in caps_of(parent):
             children = [parent + (d,) for d in range(3)]
             leaves = [_walk_leaves(child, cap) for child in children]
-            for want in (1, 2):
-                records = grow_children(parent, cap, want)
-                assert [r.witnesses for r in records] == \
-                    [ls[:want] for ls in leaves], (parent, cap, want)
-                cases += 3
+            records = grow_children(parent, cap)
+            assert [r.witnesses for r in records] == leaves, (parent, cap)
+            cases += 3
     return cases
 
 
@@ -138,7 +135,7 @@ def test_children_of_every_short_parent():
         return sorted({_cap(parent + (0,), alpha)
                        for alpha in PRUNED_ALPHAS + [UNPRUNED_ALPHA]})
 
-    assert _compare_children(_small_codewords(1), caps_of) >= 20_000
+    assert _compare_children(_small_codewords(1), caps_of) >= 10_000
 
 
 def test_children_of_sampled_parents_across_the_table_boundary():
@@ -148,14 +145,14 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     def caps_of(parent):
         level = len(parent)
         firsts = [r.witnesses[0].bit_length() - 1
-                  for r in grow_children(parent, 4 * level, 1)]
+                  for r in grow_children(parent, 4 * level)]
         return sorted({*firsts, *(k - 1 for k in firsts), 4 * level})
 
     # the children of a level-9 parent are the first whose roots lie above
     # the tables
     assert 9 + 2 > TABLE_MAX_EXPONENT
     parents = _sampled_codewords(range(9, 17), per_level=3, seed=2025)
-    assert _compare_children(parents, caps_of) >= 24 * 3 * 6
+    assert _compare_children(parents, caps_of) >= 24 * 3 * 3
 
 
 def test_leaf_tables_from_fresh(monkeypatch):
@@ -189,8 +186,8 @@ def test_leaves_two_steps_apart_on_one_chain():
     # the first leaf of the parent (2, 2, 1) is 11; in the tree of the child
     # ending in 1 its 0-edge chain meets the 1-edges after one zero and after
     # three, so both of the child's first leaves come from it
-    records = grow_children((2, 2, 1), 6, 2)
-    assert records[1] == grow_record((2, 2, 1, 1), 6, 2)
+    records = grow_children((2, 2, 1), 6)
+    assert records[1] == grow_record((2, 2, 1, 1), 6)
     assert records[1].witnesses == [29, 113]
     assert [key_path(k) for k in records[1].witnesses] == ["1101", "110001"]
 
@@ -216,5 +213,5 @@ def test_best_ratios_of_stuck_codewords():
         cap = _cap(c, alpha)
         want = 2 if mode == "strong" else 1
         prune = mode == "plain" or 2 * alpha <= 1
-        assert len(grow_record(c, cap, 2).witnesses_within(cap)) < want
+        assert len(grow_record(c, cap).witnesses_within(cap)) < want
         assert best_ratio(c, cap, want, prune) == expected, (mode, display)

@@ -31,16 +31,16 @@ def _depth(key):
 
 class TestGrowCritical:
     @pytest.mark.parametrize(
-        "display,cap,want,depth,witnesses",
+        "display,cap,depth,witnesses",
         [
-            ("12", 3, 1, 3, ["001"]),
-            ("01", 2, 1, 2, ["01"]),
-            ("001", 6, 2, 4, ["0101", "010001"]),
-            ("02", 1, 1, 1, ["1"]),
+            ("12", 3, 3, ["001"]),
+            ("01", 2, 2, ["01"]),
+            ("001", 6, 4, ["0101", "010001"]),
+            ("02", 1, 1, ["1"]),
         ],
     )
-    def test_reference_rows(self, display, cap, want, depth, witnesses):
-        r = grow_record(codeword_from_display(display), cap, want)
+    def test_reference_rows(self, display, cap, depth, witnesses):
+        r = grow_record(codeword_from_display(display), cap)
         assert _depth(r.witnesses[0]) == depth
         assert _paths(r) == witnesses
 
@@ -57,7 +57,7 @@ class TestGrowCritical:
     def test_witness_shape(self):
         # every witness has weight exactly l and ends with a 1-edge
         for c in all_codewords(4):
-            for w in _paths(grow_record(c, 40, 2)):
+            for w in _paths(grow_record(c, 40)):
                 assert w.count("1") == len(c) - 1
                 assert w.endswith("1")
 
@@ -72,7 +72,7 @@ class TestGrowCritical:
 
     def test_pruning_does_not_change_the_outcome(self):
         for c in all_codewords(4):
-            fast = grow_record(c, 12, 2)
+            fast = grow_record(c, 12)
             slow = [(1 << n.depth) | n.bits
                     for n in walk_nodes(c, 12, 2, prune=False)
                     if n.weight == len(c) - 1]
@@ -85,12 +85,14 @@ class TestGrowthRecord:
         c = codeword_from_display("21")
         short = grow_record(c, 3)
         assert short.witnesses == []
-        assert short.usable_for(3, 1) and short.usable_for(2, 1)
-        assert not short.usable_for(4, 1)       # a deeper cap may find one
-        assert not short.usable_for(3, 2)       # grown for one witness only
+        assert short.usable_for(3) and short.usable_for(2)
+        assert not short.usable_for(4)          # a deeper cap may find one
+        one = grow_record(c, 5)
+        assert _paths(one) == ["0001"]
+        assert one.usable_for(5) and not one.usable_for(6)  # or a second
         found = grow_record(c, 10)
-        assert _paths(found) == ["0001"]
-        assert found.usable_for(40, 1) and found.usable_for(3, 1)
+        assert _paths(found) == ["0001", "000001"]
+        assert found.usable_for(40) and found.usable_for(3)
         assert found.witnesses_within(3) == []
 
 
@@ -118,7 +120,7 @@ class TestCompanions:
         }
         for display, (cap, expected) in cases.items():
             c = codeword_from_display(display)
-            rec = grow_record(c, cap, 2)
+            rec = grow_record(c, cap)
             assert len(rec.witnesses) == 1
             got = find_companion(c, cap, Fraction(1, 3), rec.witnesses[0])
             assert got is not None
@@ -126,7 +128,7 @@ class TestCompanions:
 
     def test_prefixes_of_the_witness_are_skipped(self):
         c = codeword_from_display("011")
-        rec = grow_record(c, 6, 2)
+        rec = grow_record(c, 6)
         assert _paths(rec) == ["01001"]
         assert find_companion(c, 6, Fraction(1, 3), rec.witnesses[0]) is None
 
@@ -137,7 +139,7 @@ class TestCompanions:
         for display, (witness, expected) in cases.items():
             c = codeword_from_display(display)
             cap = (len(c) - 1) * 5 // 3
-            rec = grow_record(c, cap, 2)
+            rec = grow_record(c, cap)
             assert _paths(rec) == [witness]
             got = find_companion(c, cap, Fraction(3, 5), rec.witnesses[0])
             assert key_path(got) == expected
