@@ -47,9 +47,6 @@ class CertificateEntry:
     def display(self) -> str:
         return codeword_display(self.codeword)
 
-    def min_ratio(self) -> Fraction:
-        return min(Fraction(p.count("1"), len(p)) for p in self.paths)
-
     def to_line(self) -> str:
         parts = [self.display, str(self.level)]
         for p in self.paths:
@@ -79,7 +76,17 @@ class Certificate:
         return max(len(p) for e in self.entries for p in e.paths)
 
     def min_ratio(self) -> Fraction:
-        return min(e.min_ratio() for e in self.entries)
+        """The least ones-ratio of any path: ratios are compared by
+        cross-multiplication, and one Fraction is built, for the answer."""
+        num, den = 1, 0                   # above every ratio
+        for e in self.entries:
+            for p in e.paths:
+                ones = p.count("1")
+                if ones * den < num * len(p):
+                    num, den = ones, len(p)
+        if not den:
+            raise ValueError("a certificate with no path has no ratio")
+        return Fraction(num, den)
 
     def kraft_sum(self) -> Fraction:
         """Exact sum of 3^-length over entries plus the reserved word (0)."""

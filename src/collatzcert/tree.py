@@ -6,12 +6,18 @@ knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
 reaching weight l (m=1) is frozen as a witness leaf.  Growth is a search
 for the first two witness leaves: what lies below a node depends only on
 its class mod 3^m, and a leaf is at least m-1 edges below it.  Every query
-the search makes is one call of ``_leaves``, which always keeps two: a node
-known mod 3 is a leaf, the first two leaves below every class with m <= 10
-are memoised in tables that all growths share, and a coarser node is
-walked depth-first along its 0-edge chain, asking ``_leaves`` of each
-1-edge child.  So a growth record holds what a table slot holds, the first
-two leaves, cut at its cap; plain mode reads the first, strong mode both.
+the search makes is one call of ``_leaves``, which always keeps two.  The
+first two leaves below every class with m <= 10 are held in tables that
+all growths share; a coarser node is walked depth-first along its 0-edge
+chain, each 1-edge child being walked in turn or read from its table.  So
+a growth record holds what a table slot holds, the first two leaves, cut
+at its cap; plain mode reads the first, strong mode both.
+
+Table m is built whole from table m-1 the first time a growth needs it:
+the leaves below a class are those below its 0-edge child, one edge
+deeper, and those below its 1-edge child, a class mod 3^(m-1).  Doubling
+runs through every class prime to 3 in one cycle, so one pass backwards
+round that cycle fills the table.
 
 The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
@@ -58,16 +64,20 @@ def key_path(key: int) -> str:
     return bin(key)[3:]
 
 
-# Classes known mod 3^m for m <= TABLE_MAX_EXPONENT get their first two
-# leaves memoised.  For m <= 10 the second leaf lies at most 23 edges below
-# its class (test_leaf_tables_from_fresh), well inside the 61 that a signed
-# 64-bit slot can hold.
+# Classes known mod 3^m for 2 <= m <= TABLE_MAX_EXPONENT get their first two
+# leaves tabled, each table built in one pass from the one below it in
+# O(3^m) integer steps; table 10 holds 2·3^10 slots of 8 bytes.  For m <= 10
+# the second leaf lies at most 23 edges below its class
+# (test_leaf_tables_from_fresh), well inside the 61 that a signed 64-bit
+# slot can hold; _TABLE_KEY_LIMIT stands for "no leaf" while a table is
+# built, and no slot keeps it.
 TABLE_MAX_EXPONENT = 10
 _TABLE_KEY_LIMIT = 1 << 62
 
 # _leaf_tables[m][2v] and [2v + 1] are the relative keys of the first two
-# leaves below the class v mod 3^m, or 0 while not yet computed.  They are a
-# fixed function of the class, so every growth in the process shares them.
+# leaves below the class v mod 3^m (0 for v divisible by 3, which has none),
+# and _leaf_tables[m] is None until a growth first needs table m.  They are
+# a fixed function of the class, so every growth in the process shares them.
 _leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
 
 
@@ -80,8 +90,8 @@ class GrowthRecord:
     ``cap``, ascending, which is canonical order.  Fewer than two means
     there are no more within the cap; two of them are the first two leaves
     at any depth.  ``nodes_expanded`` counts the 1-edges the search walked
-    (table fills excluded) and ``frontier_peak`` is the deepest search
-    stack.  Both describe the lookup that grew the record, which
+    and ``frontier_peak`` is the deepest search stack.  Both describe the
+    lookup that grew the record, which
     ``grow_children`` shares among three siblings, so the three records
     carry the same two numbers; a group answered from the tables walked
     nothing and reports 0 and 1.  The engine keeps the three together, by
@@ -162,28 +172,32 @@ def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
     sorted, of the tree in which the node has the class
     v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list serves one
     tree, three serve three siblings at once.  ``bound`` is the key a leaf
-    must beat to be kept in one of them.  A node known mod 3 is its own
-    leaf, one known mod 3^m with m <= TABLE_MAX_EXPONENT is answered by the
-    tables, and a coarser one is walked.  Siblings differ mod 9 only at a
-    node known mod 9, which the tables answer, so a node known mod 3 is met
-    only in the walk of a single tree.
+    must beat to be kept in one of them.  A node known mod 3^m with
+    2 <= m <= TABLE_MAX_EXPONENT is answered by the tables, and a coarser
+    one is walked.
     """
     if m > TABLE_MAX_EXPONENT:
         return _walk(v, m, key, bests, limit, bound, stats)
+    table = _leaf_tables[m] or _build_table(m)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
     # the smallest leaf key below the node is its key followed by m-1 ones
     least = ((key + 1) << (m - 1)) - 1
+    key -= 1
     bound = 0
     for best in bests:
         worst = best[-1] if len(best) == 2 else limit
         if least < worst:
-            for rel in _table_leaves(v, m) if m > 1 else (1,):
-                leaf = ((key - 1) << (rel.bit_length() - 1)) + rel
-                if leaf >= worst:
-                    break
+            rel = table[v + v]
+            leaf = (key << (rel.bit_length() - 1)) + rel
+            if leaf < worst:
                 _keep(best, leaf)
+                rel = table[v + v + 1]
+                leaf = (key << (rel.bit_length() - 1)) + rel
                 worst = best[-1] if len(best) == 2 else limit
+                if leaf < worst:
+                    _keep(best, leaf)
+                    worst = best[-1]
         if worst > bound:
             bound = worst
         v = (v + step) % mod
@@ -192,16 +206,18 @@ def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
 
 def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
           stats: list[int]) -> int:
-    """``_leaves`` of a node known mod 3^m, by walking its 0-edge chain.
+    """``_leaves`` of a node known mod 3^m, m > TABLE_MAX_EXPONENT, by
+    walking its 0-edge chain.
 
-    Every 1-edge off the chain leads to a child known mod 3^(m-1), whose
-    leaves ``_leaves`` merges.  ``stats[0]`` counts the 1-edges followed
-    and ``stats[1]`` tracks the smallest exponent walked, and so the depth
-    of the search stack.
+    Every 1-edge off the chain leads to a child known mod 3^(m-1), which is
+    walked in turn or, once it is fine enough, read from its table.
+    ``stats[0]`` counts the 1-edges followed and ``stats[1]`` tracks the
+    smallest exponent walked, and so the depth of the search stack.
     """
     if m < stats[1]:
         stats[1] = m
     mod, sub, reach = POW3[m], POW3[m - 1], m - 1
+    descend = _walk if reach > TABLE_MAX_EXPONENT else _leaves
     # along a 0-edge chain v mod 9 runs through 1, 2, 4, 8, 7, 5, so the
     # 1-edges leave at 2 and 8, two and four steps apart
     r = v % 9
@@ -213,7 +229,7 @@ def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
     top = (bound >> reach) - 1
     while key <= top:
         steps += 1
-        bound = _leaves(((v + v - 1) // 3) % sub, reach, key + key + 1,
+        bound = descend(((v + v - 1) // 3) % sub, reach, key + key + 1,
                         bests, limit, bound, stats)
         top = (bound >> reach) - 1
         if r == 2:
@@ -235,32 +251,51 @@ def _keep(best: list[int], leaf: int) -> None:
     del best[2:]
 
 
-def _table_leaves(v: int, m: int) -> tuple[int, int]:
-    """Relative keys of the first two leaves below the class v mod 3^m.
+def _build_table(m: int) -> array:
+    """Build and keep table m, for 2 <= m <= TABLE_MAX_EXPONENT, from table
+    m-1.
 
-    A miss fills the slots of all three classes that agree with v mod
-    3^(m-1), in one walk; for m == 2 they differ mod 9, where a 0-edge
-    chain branches, and each walks alone.
+    The first two leaves below a class v are the first two of the leaves
+    below its 0-edge child 2v, one edge deeper, and, when v = 2 or 8 mod 9,
+    those below its 1-edge child, a class mod 3^(m-1) whose leaves table
+    m-1 holds (for m == 2 that child is itself a leaf).  A relative key
+    k = (1 << d) | p one edge below becomes k + (1 << d) across a 0-edge and
+    k + (2 << d) across a 1-edge.  Since 2 is a primitive root mod 3^m, the
+    classes prime to 3 form one doubling cycle of length 2·3^(m-1), so one
+    pass backwards round it, by the inverse (3^m + 1)/2 of 2, fills every
+    slot.  The pass starts from the sentinel "no leaf" and goes round twice,
+    writing only on the second lap, where every class sees more than a
+    whole lap of its 0-edge chain: a branch a lap further on repeats one
+    a lap nearer, a whole lap deeper.
     """
-    table = _leaf_tables[m]
-    if table is None:
-        table = _leaf_tables[m] = array("q", bytes(16 * POW3[m]))
-    i = v + v
-    if table[i] == 0:
-        sub = POW3[m - 1]
-        base = v % sub
-        bests: tuple[list[int], ...] = ([], [], [])
-        if m > 2:
-            _walk(base, m, 1, bests, _TABLE_KEY_LIMIT, _TABLE_KEY_LIMIT,
-                  [0, m])
-        else:
-            for d, best in enumerate(bests):
-                _walk(base + d * sub, 2, 1, (best,), _TABLE_KEY_LIMIT,
-                      _TABLE_KEY_LIMIT, [0, 2])
-        for d, best in enumerate(bests):
-            j = 2 * (base + d * sub)
-            table[j], table[j + 1] = best
-    return table[i], table[i + 1]
+    mod, sub = POW3[m], POW3[m - 1]
+    half, cycle = (mod + 1) // 2, mod - sub
+    child = (_leaf_tables[m - 1] or _build_table(m - 1)) if m > 2 else None
+    table = array("q", bytes(16 * mod))
+    first = second = _TABLE_KEY_LIMIT
+    v = 1
+    for lap_step in range(2 * cycle):
+        v = v * half % mod
+        # the leaves below 2v, one 0-edge deeper; the sentinel only grows
+        first += 1 << (first.bit_length() - 1)
+        second += 1 << (second.bit_length() - 1)
+        r = v % 9
+        if r == 2 or r == 8:
+            if child is None:
+                low, high = 3, _TABLE_KEY_LIMIT
+            else:
+                w = ((v + v - 1) // 3) % sub
+                low, high = child[w + w], child[w + w + 1]
+                low += 2 << (low.bit_length() - 1)
+                high += 2 << (high.bit_length() - 1)
+            if low < first:
+                first, second = low, min(first, high)
+            elif low < second:
+                second = low
+        if lap_step >= cycle:
+            table[v + v], table[v + v + 1] = first, second
+    _leaf_tables[m] = table
+    return table
 
 
 def find_companion(

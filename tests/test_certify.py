@@ -266,6 +266,18 @@ class TestSweep:
         SweepState(mode=mode).level(top)
         assert seen == tests
 
+    def test_min_ratio_is_the_least_path_ratio(self, reference_plain,
+                                               reference_strong):
+        sweep = SweepState(mode="plain")
+        certs = [reference_plain, reference_strong]
+        certs += [sweep.level(l)[1] for l in range(1, 11)]
+        for cert in certs:
+            assert cert.min_ratio() == min(
+                Fraction(p.count("1"), len(p))
+                for e in cert.entries for p in e.paths)
+        with pytest.raises(ValueError):
+            replace(reference_plain, entries=[]).min_ratio()
+
     def test_flat_step_between_five_and_six(self):
         sweep = SweepState(mode="plain")
         a5, c5 = sweep.level(5)

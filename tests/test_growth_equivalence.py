@@ -8,14 +8,19 @@ The codewords are every one of length at most 6 and seeded samples at
 levels 10..15, whose roots lie above the exponent-10 leaf tables and whose
 subtrees reach into them.  ``grow_children`` is held to the walk of each
 of the three children, of every parent of length at most 6 and of seeded
-parents at levels 9..16.  The leaf tables are filled from fresh and every
-slot is checked, against the walk for m <= 6.  ``best_ratio``, which is
+parents at levels 9..16.  The leaf tables are built from fresh and every
+slot is checked against the walk of its class over the table below, and
+for m <= 6 against the breadth-first walk.  ``best_ratio``, which is
 itself a walk, is pinned to the best ratios that the earlier breadth-first
 growth reported.
 """
 
 import random
+import subprocess
+import sys
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 from collatzcert import tree
 from collatzcert.numth import POW3, codeword_from_display, codeword_of_int
@@ -156,30 +161,53 @@ def test_children_of_sampled_parents_across_the_table_boundary():
 
 
 def test_leaf_tables_from_fresh(monkeypatch):
-    """Every slot of fresh tables, filled as the queries miss: two
-    increasing keys, the second at most 23 edges deep, and for m <= 6 the
-    first two leaves of the walk.
+    """Every slot of fresh tables, built whole: two increasing keys, the
+    second at most 23 edges deep, no sentinel left, each equal to the walk
+    of its class's 0-edge chain over table m-1, and for m <= 6 to the first
+    two leaves of ``walk_nodes``.
 
-    Classes divisible by 3 are not queried: their 0-edge chain never meets
-    2 or 8 mod 9, so a walk from one would never end.  No root, child or
-    prefix of a codeword is such a class.
+    Slots of classes divisible by 3 stay 0: their 0-edge chain never meets
+    2 or 8 mod 9, so they have no leaves, and no root, child or prefix of a
+    codeword is such a class.
     """
-    monkeypatch.setattr(tree, "_leaf_tables",
-                        [None] * (TABLE_MAX_EXPONENT + 1))
+    limit = tree._TABLE_KEY_LIMIT
+    tables = [None] * (TABLE_MAX_EXPONENT + 1)
+    monkeypatch.setattr(tree, "_leaf_tables", tables)
+    tree._build_table(TABLE_MAX_EXPONENT)
+    # what the walk of a class mod 9 reads: a class mod 3 is its own leaf,
+    # and the sentinel stands for the second it does not have
+    tables[1] = array("q", [0, 0, 1, limit, 1, limit])
     deepest = walked = 0
     for m in range(2, TABLE_MAX_EXPONENT + 1):
-        for v in range(1, POW3[m]):
+        table = tables[m]
+        assert len(table) == 2 * POW3[m]
+        for v in range(POW3[m]):
+            first, second = table[v + v], table[v + v + 1]
             if v % 3 == 0:
+                assert first == second == 0, (v, m)
                 continue
-            first, second = tree._table_leaves(v, m)
-            assert 0 < first < second, (v, m)
+            assert 0 < first < second < limit, (v, m)
             deepest = max(deepest, second.bit_length() - 1)
+            best = []
+            tree._walk(v, m, 1, (best,), limit, limit, [0, m])
+            assert best == [first, second], (v, m)
             if m <= 6:
                 walked += 1
                 assert [first, second] == _walk_leaves(codeword_of_int(v, m),
                                                        23), (v, m)
     assert walked == 726
     assert deepest == 23
+
+
+def test_import_builds_no_table():
+    # the tables are built the first time a growth needs them, never at
+    # import, which a fresh process pays for before any work
+    src = Path(tree.__file__).resolve().parents[1]
+    probe = ("import collatzcert; from collatzcert import tree; "
+             "print(all(t is None for t in tree._leaf_tables))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "True"
 
 
 def test_leaves_two_steps_apart_on_one_chain():
