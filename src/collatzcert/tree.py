@@ -91,12 +91,11 @@ class GrowthRecord:
     there are no more within the cap; two of them are the first two leaves
     at any depth.  ``nodes_expanded`` counts the 1-edges the search walked
     and ``frontier_peak`` is the deepest search stack.  Both describe the
-    lookup that grew the record, which
-    ``grow_children`` shares among three siblings, so the three records
-    carry the same two numbers; a group answered from the tables walked
-    nothing and reports 0 and 1.  The engine keeps the three together, by
-    parent, and ``usable_for`` tells whether a record answers a later
-    query.
+    lookup that grew the record, which ``grow_children`` shares among three
+    siblings, so the three records carry the same two numbers; a group
+    answered from the tables walked nothing and reports 0 and 1.  The
+    engine keeps the three together, by parent, and ``usable_for`` tells
+    whether a record answers a later query.
     """
 
     cap: int
@@ -181,19 +180,19 @@ def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
     table = _leaf_tables[m] or _build_table(m)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
-    # the smallest leaf key below the node is its key followed by m-1 ones
-    least = ((key + 1) << (m - 1)) - 1
-    key -= 1
+    # the smallest leaf key below the node is its key followed by m-1 ones;
+    # a relative key rel of depth d is the absolute key ((key - 1) << d) + rel
+    least, stem = ((key + 1) << (m - 1)) - 1, key - 1
     bound = 0
     for best in bests:
         worst = best[-1] if len(best) == 2 else limit
         if least < worst:
             rel = table[v + v]
-            leaf = (key << (rel.bit_length() - 1)) + rel
+            leaf = (stem << (rel.bit_length() - 1)) + rel
             if leaf < worst:
                 _keep(best, leaf)
                 rel = table[v + v + 1]
-                leaf = (key << (rel.bit_length() - 1)) + rel
+                leaf = (stem << (rel.bit_length() - 1)) + rel
                 worst = best[-1] if len(best) == 2 else limit
                 if leaf < worst:
                     _keep(best, leaf)

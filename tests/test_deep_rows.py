@@ -39,6 +39,7 @@ def test_deep_rows(mode):
     sweep = SweepState(mode=mode)
     for level, alpha, size, depth, digest in DEEP_ROWS[mode]:
         got, cert = sweep.level(level)
-        assert (got, cert.size, cert.max_depth()) == (alpha, size, depth), level
+        row = (got, cert.size, cert.max_depth())
+        assert row == (alpha, size, depth), level
         text = cert.to_text().encode()
         assert hashlib.sha256(text).hexdigest() == digest, level
