@@ -32,7 +32,7 @@ STRONG = "strong"
 SWEEP_FLOOR = Fraction(1, 7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateEntry:
     """One closed codeword with its path or path pair."""
 
@@ -393,8 +393,8 @@ class SweepState:
     of depth at most that cap, so every test in between decides exactly as
     this one does.
     Growth results are cached across test values, which is sound because
-    a codeword's tree does not depend on alpha.  The cache holds the three
-    growth records of each group of siblings, keyed by their parent.
+    a codeword's tree does not depend on alpha.  The cache holds one growth
+    record for each group of siblings, keyed by their parent.
     """
 
     mode: str = PLAIN
@@ -403,8 +403,9 @@ class SweepState:
     cache: dict = field(default_factory=dict, init=False)
 
     def level(self, l: int) -> tuple[Fraction, Certificate]:
-        if l < 1:
-            raise ValueError("level must be >= 1")
+        # a level's searches split up to weight l, which the engine caps
+        if not 1 <= l <= MAX_CODEWORD_LEN:
+            raise ValueError(f"level must be within [1, {MAX_CODEWORD_LEN}]")
         for ll in range(1, l + 1):
             if ll not in self.results:
                 self._run_level(ll)

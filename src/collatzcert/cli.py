@@ -198,9 +198,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_max_alpha(args) -> int:
-    if args.level < 1:
-        print("error: --level must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if _unwritable(args.out):
         return EXIT_USAGE
     mode = STRONG if args.strong else PLAIN

@@ -6,11 +6,11 @@ its own level's depth cap (or takes it from the growth memo) and closes,
 leaves stuck or splits it; the splits form the next pass's frontier.
 Siblings sit together in that order, so the trees of a group of them are
 grown in one lookup of their parent's tree (three table reads up to level
-9, one walk above it), and the memo holds the group's three records under
-the parent.  The close decision reads a record's leaf keys and renders the
-ones it keeps as paths.  Splitting a codeword into its three one-digit
-extensions preserves the prefix-code property, which is asserted as an
-exact Kraft identity after every pass.
+9, one walk above it), and the memo holds that lookup's one record under
+the parent.  The close decision reads a codeword's leaf keys from it and
+renders the ones it keeps as paths.  Splitting a codeword into its three
+one-digit extensions preserves the prefix-code property, which is asserted
+as an exact Kraft identity after every pass.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import GrowthRecord, find_companion, grow_children, key_path
+from .tree import find_companion, grow_children, key_path
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
@@ -140,16 +140,16 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
 
 
 def _close_decision(
-    codeword: tuple[int, ...], record: GrowthRecord, cap: int,
+    codeword: tuple[int, ...], wits: list[int], cap: int,
     alpha: Fraction, mode: str,
 ) -> tuple[str, ...] | None:
     """Paths that close this codeword at this ratio, or None to split.
 
-    Plain mode closes on the first full-weight leaf within the cap.  Strong
-    mode needs two such leaves, or one leaf plus the canonically least
-    lighter path of ones-ratio >= alpha that is not a prefix of it.
+    ``wits`` are the keys of its first full-weight leaves within the cap.
+    Plain mode closes on the first.  Strong mode needs two such leaves, or
+    one leaf plus the canonically least lighter path of ones-ratio >= alpha
+    that is not a prefix of it.
     """
-    wits = record.witnesses_within(cap)
     if mode == PLAIN:
         return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
@@ -213,9 +213,9 @@ def run(
     change a single byte of it.  The checkpoint, if any, is written after
     every pass over the frontier.
 
-    Growth records are memoised by parent, as the three of a group of
-    siblings: in ``cache`` when the caller passes one, to share them across
-    searches, and otherwise only the group in hand.
+    Growth records are memoised by parent, one for each group of siblings:
+    in ``cache`` when the caller passes one, to share them across searches,
+    and otherwise only the group in hand.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -249,15 +249,17 @@ def run(
             level = len(c) - 1
             cap = depth_cap(level, alpha)
             parent = c[:-1]
-            group = memo.get(parent)
-            # siblings share a level and so a cap: a group regrown for one
+            record = memo.get(parent)
+            wits = None if record is None else record.keys_within(c[-1], cap)
+            # siblings share a level and so a cap: a record regrown for one
             # of them answers all three, and every later query that the old
-            # group answered
-            if group is None or not group[c[-1]].usable_for(cap):
+            # record answered
+            if wits is None:
                 if cache is None:
                     memo.clear()
-                group = memo[parent] = grow_children(parent, cap)
-            paths = _close_decision(c, group[c[-1]], cap, alpha, mode)
+                record = memo[parent] = grow_children(parent, cap)
+                wits = record.keys_within(c[-1], cap)
+            paths = _close_decision(c, wits, cap, alpha, mode)
             if paths is not None:
                 closed.append(CertificateEntry(codeword=c, paths=paths))
             elif level >= max_weight:

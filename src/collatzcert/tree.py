@@ -10,8 +10,8 @@ the search makes is one call of ``_leaves``, which always keeps two.  The
 first two leaves below every class with m <= 10 are held in tables that
 all growths share; a coarser node is walked depth-first along its 0-edge
 chain, each 1-edge child being walked in turn or read from its table.  So
-a growth record holds what a table slot holds, the first two leaves, cut
-at its cap; plain mode reads the first, strong mode both.
+a growth holds what a table slot holds, the first two leaves, cut at its
+cap; plain mode reads the first, strong mode both.
 
 Table m is built whole from table m-1 the first time a growth needs it:
 the leaves below a class are those below its 0-edge child, one edge
@@ -23,8 +23,9 @@ The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
 leaves of c·0, c·1 and c·2 in one lookup, since up to weight l their trees
 have the shape of the tree of c and their classes differ by a known
-multiple of the top power of 3.  ``grow_record`` is its view for one
-codeword.
+multiple of the top power of 3; its one record holds the cap, the three
+key lists and what the lookup cost.  ``grow_record`` gives one
+codeword's keys.
 
 A node at depth d reached by the edge labels p (first edge highest) is
 named by its key (1 << d) | p, so keys order by depth and then
@@ -81,41 +82,39 @@ _TABLE_KEY_LIMIT = 1 << 62
 _leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class GrowthRecord:
-    """What one growth learned about a codeword's tree: a table slot's
-    answer, cut at a cap.
+    """What one ``grow_children`` lookup learned about the trees of a
+    codeword's three one-digit extensions: a table slot's answer for each,
+    cut at a cap.
 
-    ``witnesses`` holds the keys of the first two weight-l leaves within
-    ``cap``, ascending, which is canonical order.  Fewer than two means
-    there are no more within the cap; two of them are the first two leaves
-    at any depth.  ``nodes_expanded`` counts the 1-edges the search walked
-    and ``frontier_peak`` is the deepest search stack.  Both describe the
-    lookup that grew the record, which ``grow_children`` shares among three
-    siblings, so the three records carry the same two numbers; a group
-    answered from the tables walked nothing and reports 0 and 1.  The
-    engine keeps the three together, by parent, and ``usable_for`` tells
-    whether a record answers a later query.
+    ``witnesses[d]`` holds the keys of the first two weight-l leaves of the
+    child ending in digit d within ``cap``, ascending, which is canonical
+    order.  Fewer than two means there are no more within the cap; two of
+    them are the first two leaves at any depth.  ``nodes_expanded`` counts
+    the 1-edges the lookup walked and ``frontier_peak`` is its deepest
+    search stack; a group answered from the tables walked nothing and
+    reports 0 and 1.  The engine keeps one record per parent.
     """
 
     cap: int
-    witnesses: list[int]
+    witnesses: tuple[list[int], list[int], list[int]]
     nodes_expanded: int
     frontier_peak: int
 
-    def witnesses_within(self, cap: int) -> list[int]:
+    def keys_within(self, digit: int, cap: int) -> list[int] | None:
+        """The keys of child ``digit``'s leaves within ``cap``, or None
+        when a deeper cap could find more than the record holds."""
+        keys = self.witnesses[digit]
+        if cap > self.cap and len(keys) < 2:
+            return None
         limit = 1 << (cap + 1)            # keys of depth <= cap lie below
-        return [key for key in self.witnesses if key < limit]
-
-    def usable_for(self, cap: int) -> bool:
-        """Can queries at this cap be answered without regrowing?"""
-        return cap <= self.cap or len(self.witnesses) == 2
+        return [key for key in keys if key < limit]
 
 
-def grow_children(codeword, depth_cap: int
-                  ) -> tuple[GrowthRecord, GrowthRecord, GrowthRecord]:
-    """Growth records of the three one-digit extensions c·0, c·1, c·2 of a
-    codeword c, from one lookup of their shared tree.
+def grow_children(codeword, depth_cap: int) -> GrowthRecord:
+    """The growth record of the three one-digit extensions c·0, c·1, c·2
+    of a codeword c, from one lookup of their shared tree.
 
     Up to weight l the tree of c·d has the shape of the tree of c, and a
     node of depth D known mod 3^m in the tree of c·0 has the class
@@ -123,7 +122,8 @@ def grow_children(codeword, depth_cap: int
     the root of c·0 serves all three: a table answers each sibling's class
     at once, which is the whole lookup when c has at most 9 digits, and a
     walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
-    any of them.  Each record equals ``grow_record(c + (d,), depth_cap)``.
+    any of them.  ``witnesses[d]`` equals ``grow_record(c + (d,),
+    depth_cap)``.
     """
     c = check_codeword(codeword)
     if c[0] == 0:
@@ -136,19 +136,14 @@ def grow_children(codeword, depth_cap: int
     limit = 1 << (depth_cap + 1)
     stats = [0, m]
     _leaves(codeword_value(c), m, 1, bests, limit, limit, stats)
-    return tuple(
-        GrowthRecord(
-            cap=depth_cap,
-            witnesses=best,
-            nodes_expanded=stats[0],
-            frontier_peak=m - stats[1] + 1,
-        )
-        for best in bests)
+    return GrowthRecord(cap=depth_cap, witnesses=bests,
+                        nodes_expanded=stats[0],
+                        frontier_peak=m - stats[1] + 1)
 
 
-def grow_record(codeword, depth_cap: int) -> GrowthRecord:
-    """The first two weight-l leaves of one codeword's tree within the
-    cap: its record from ``grow_children`` of its parent.
+def grow_record(codeword, depth_cap: int) -> list[int]:
+    """The keys of the first two weight-l leaves of one codeword's tree
+    within the cap, from ``grow_children`` of its parent.
 
     From each class walked the search follows the 0-edge chain
     v -> 2v mod 3^m and looks up the leaves of every 1-edge child it meets,
@@ -159,7 +154,7 @@ def grow_record(codeword, depth_cap: int) -> GrowthRecord:
     c = check_codeword(codeword)
     if len(c) < 2:
         raise ValueError("growth needs a codeword of length >= 2 (level >= 1)")
-    return grow_children(c[:-1], depth_cap)[c[-1]]
+    return grow_children(c[:-1], depth_cap).witnesses[c[-1]]
 
 
 def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,

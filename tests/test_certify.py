@@ -266,6 +266,20 @@ class TestSweep:
         SweepState(mode=mode).level(top)
         assert seen == tests
 
+    @pytest.mark.parametrize("level", [0, 81])
+    def test_refuses_a_level_out_of_range_before_any_search(self, monkeypatch,
+                                                            level):
+        # the engine splits at most to weight MAX_CODEWORD_LEN = 80, so a
+        # deeper level would fail only after sweeping every level below it
+        def search(*args, **kwargs):
+            raise AssertionError("search called")
+
+        monkeypatch.setattr(certify, "search", search)
+        sweep = SweepState(mode="plain")
+        with pytest.raises(ValueError, match=r"within \[1, 80\]"):
+            sweep.level(level)
+        assert sweep.results == {}
+
     def test_min_ratio_is_the_least_path_ratio(self, reference_plain,
                                                reference_strong):
         sweep = SweepState(mode="plain")

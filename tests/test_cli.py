@@ -235,6 +235,17 @@ class TestMaxAlphaCommand:
     def test_bad_level_is_usage_error(self, capsys):
         assert main(["max-alpha", "--level", "0"]) == 3
 
+    def test_level_past_the_codeword_limit_is_refused_at_once(
+            self, monkeypatch, capsys):
+        def search(*args, **kwargs):
+            raise AssertionError("search called")
+
+        monkeypatch.setattr(certify, "search", search)
+        assert main(["max-alpha", "--level", "81"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level must be within [1, 80]\n"
+
     def test_unwritable_out_prints_no_row(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "level2.cert")
         assert main(["max-alpha", "--level", "2", "--out", out]) == 3

@@ -14,7 +14,7 @@ from collatzcert.engine import (
     save_checkpoint,
     stats,
 )
-from collatzcert.tree import best_ratio
+from collatzcert.tree import GrowthRecord, best_ratio
 
 
 class TestUnclosed:
@@ -200,6 +200,11 @@ class TestGrowthCache:
             calls.append(len(grown))
         assert calls == [5, 11, 12, 0, 0]
         assert set(cache) >= {(1,), (2,)}
+        # one record per parent, holding the key lists of its three children
+        for record in cache.values():
+            assert type(record) is GrowthRecord
+            assert len(record.witnesses) == 3
+            assert all(type(keys) is list for keys in record.witnesses)
 
 
 class TestStats:

@@ -88,7 +88,7 @@ def _compare(codewords, alphas_of):
         for alpha in alphas_of(c):
             cap = _cap(c, alpha)
             leaves = _walk_leaves(c, cap)
-            assert grow_record(c, cap).witnesses == leaves, (c, cap)
+            assert grow_record(c, cap) == leaves, (c, cap)
             if not leaves:
                 leafless += 1
             if len(leaves) == 1:
@@ -112,7 +112,7 @@ def test_sampled_codewords_across_the_table_boundary():
     # within the cap (a companion case when the second lies deeper) and none
     def alphas_of(c):
         level = len(c) - 1
-        first = grow_record(c, 4 * level).witnesses[0].bit_length() - 1
+        first = grow_record(c, 4 * level)[0].bit_length() - 1
         return [Fraction(13, 31), UNPRUNED_ALPHA,
                 Fraction(level, first), Fraction(level, first - 1)]
 
@@ -122,15 +122,16 @@ def test_sampled_codewords_across_the_table_boundary():
 
 
 def _compare_children(parents, caps_of):
-    """Check the three records of every parent at each of its caps against
-    the walks of its children; count the cases."""
+    """Check the three key lists of every parent's record at each of its
+    caps against the walks of its children; count the cases."""
     cases = 0
     for parent in parents:
         for cap in caps_of(parent):
             children = [parent + (d,) for d in range(3)]
             leaves = [_walk_leaves(child, cap) for child in children]
-            records = grow_children(parent, cap)
-            assert [r.witnesses for r in records] == leaves, (parent, cap)
+            record = grow_children(parent, cap)
+            assert record.cap == cap
+            assert list(record.witnesses) == leaves, (parent, cap)
             cases += 3
     return cases
 
@@ -149,8 +150,8 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     # caps: 4 * level, where the walk must still stop at the worst leaf kept
     def caps_of(parent):
         level = len(parent)
-        firsts = [r.witnesses[0].bit_length() - 1
-                  for r in grow_children(parent, 4 * level)]
+        firsts = [keys[0].bit_length() - 1
+                  for keys in grow_children(parent, 4 * level).witnesses]
         return sorted({*firsts, *(k - 1 for k in firsts), 4 * level})
 
     # the children of a level-9 parent are the first whose roots lie above
@@ -214,10 +215,10 @@ def test_leaves_two_steps_apart_on_one_chain():
     # the first leaf of the parent (2, 2, 1) is 11; in the tree of the child
     # ending in 1 its 0-edge chain meets the 1-edges after one zero and after
     # three, so both of the child's first leaves come from it
-    records = grow_children((2, 2, 1), 6)
-    assert records[1] == grow_record((2, 2, 1, 1), 6)
-    assert records[1].witnesses == [29, 113]
-    assert [key_path(k) for k in records[1].witnesses] == ["1101", "110001"]
+    keys = grow_children((2, 2, 1), 6).witnesses[1]
+    assert keys == grow_record((2, 2, 1, 1), 6)
+    assert keys == [29, 113]
+    assert [key_path(k) for k in keys] == ["1101", "110001"]
 
 
 def test_best_ratios_of_stuck_codewords():
@@ -241,5 +242,5 @@ def test_best_ratios_of_stuck_codewords():
         cap = _cap(c, alpha)
         want = 2 if mode == "strong" else 1
         prune = mode == "plain" or 2 * alpha <= 1
-        assert len(grow_record(c, cap).witnesses_within(cap)) < want
+        assert len(grow_record(c, cap)) < want
         assert best_ratio(c, cap, want, prune) == expected, (mode, display)

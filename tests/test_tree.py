@@ -5,8 +5,10 @@ import pytest
 
 from collatzcert.numth import POW3, codeword_from_display, codeword_of_int, t_map
 from collatzcert.tree import (
+    GrowthRecord,
     count_structures,
     find_companion,
+    grow_children,
     grow_record,
     key_path,
     structure_signature,
@@ -21,8 +23,8 @@ def all_codewords(length):
             yield codeword_of_int(v, length)
 
 
-def _paths(record):
-    return [key_path(key) for key in record.witnesses]
+def _paths(keys):
+    return [key_path(key) for key in keys]
 
 
 def _depth(key):
@@ -40,13 +42,13 @@ class TestGrowCritical:
         ],
     )
     def test_reference_rows(self, display, cap, depth, witnesses):
-        r = grow_record(codeword_from_display(display), cap)
-        assert _depth(r.witnesses[0]) == depth
-        assert _paths(r) == witnesses
+        keys = grow_record(codeword_from_display(display), cap)
+        assert _depth(keys[0]) == depth
+        assert _paths(keys) == witnesses
 
     def test_no_criticality_within_cap(self):
         # this class needs depth 4 for its first full-weight leaf
-        assert grow_record(codeword_from_display("21"), 3).witnesses == []
+        assert grow_record(codeword_from_display("21"), 3) == []
 
     def test_rejects_reserved_digit(self):
         with pytest.raises(ValueError):
@@ -65,7 +67,7 @@ class TestGrowCritical:
         # below the critical depth no full-weight node exists, pruned or not
         for length in (2, 3, 4, 5):
             for c in all_codewords(length):
-                k = _depth(grow_record(c, 60).witnesses[0])
+                k = _depth(grow_record(c, 60)[0])
                 if k > 1:
                     unpruned = walk_nodes(c, k - 1, None, prune=False)
                     assert all(n.weight < len(c) - 1 for n in unpruned)
@@ -76,24 +78,36 @@ class TestGrowCritical:
             slow = [(1 << n.depth) | n.bits
                     for n in walk_nodes(c, 12, 2, prune=False)
                     if n.weight == len(c) - 1]
-            assert fast.witnesses == slow[:2]
+            assert fast == slow[:2]
 
 
 class TestGrowthRecord:
-    def test_usable_for(self):
+    def test_keys_within(self):
         # the first full-weight leaf of class 21 lies at depth 4
         c = codeword_from_display("21")
-        short = grow_record(c, 3)
-        assert short.witnesses == []
-        assert short.usable_for(3) and short.usable_for(2)
-        assert not short.usable_for(4)          # a deeper cap may find one
-        one = grow_record(c, 5)
-        assert _paths(one) == ["0001"]
-        assert one.usable_for(5) and not one.usable_for(6)  # or a second
-        found = grow_record(c, 10)
-        assert _paths(found) == ["0001", "000001"]
-        assert found.usable_for(40) and found.usable_for(3)
-        assert found.witnesses_within(3) == []
+        parent, digit = c[:-1], c[-1]
+        short = grow_children(parent, 3)
+        assert isinstance(short, GrowthRecord)
+        assert short.witnesses[digit] == []
+        assert short.keys_within(digit, 3) == []
+        assert short.keys_within(digit, 2) == []
+        assert short.keys_within(digit, 4) is None  # a deeper cap may find one
+        one = grow_children(parent, 5)
+        assert _paths(one.witnesses[digit]) == ["0001"]
+        assert _paths(one.keys_within(digit, 5)) == ["0001"]
+        assert one.keys_within(digit, 6) is None    # or a second
+        found = grow_children(parent, 10)
+        assert _paths(found.witnesses[digit]) == ["0001", "000001"]
+        assert _paths(found.keys_within(digit, 40)) == ["0001", "000001"]
+        assert found.keys_within(digit, 3) == []
+
+    def test_one_record_per_lookup(self):
+        record = grow_children((2,), 10)
+        assert len(record.witnesses) == 3
+        assert record.cap == 10
+        assert not hasattr(record, "__dict__")
+        for digit in range(3):
+            assert record.witnesses[digit] == grow_record((2, digit), 10)
 
 
 class TestConservation:
@@ -120,17 +134,17 @@ class TestCompanions:
         }
         for display, (cap, expected) in cases.items():
             c = codeword_from_display(display)
-            rec = grow_record(c, cap)
-            assert len(rec.witnesses) == 1
-            got = find_companion(c, cap, Fraction(1, 3), rec.witnesses[0])
+            keys = grow_record(c, cap)
+            assert len(keys) == 1
+            got = find_companion(c, cap, Fraction(1, 3), keys[0])
             assert got is not None
             assert key_path(got) == expected
 
     def test_prefixes_of_the_witness_are_skipped(self):
         c = codeword_from_display("011")
-        rec = grow_record(c, 6)
-        assert _paths(rec) == ["01001"]
-        assert find_companion(c, 6, Fraction(1, 3), rec.witnesses[0]) is None
+        keys = grow_record(c, 6)
+        assert _paths(keys) == ["01001"]
+        assert find_companion(c, 6, Fraction(1, 3), keys[0]) is None
 
     def test_answers_above_half(self):
         # above ratio 1/2 pruning is not known to keep every candidate, so
@@ -139,9 +153,9 @@ class TestCompanions:
         for display, (witness, expected) in cases.items():
             c = codeword_from_display(display)
             cap = (len(c) - 1) * 5 // 3
-            rec = grow_record(c, cap)
-            assert _paths(rec) == [witness]
-            got = find_companion(c, cap, Fraction(3, 5), rec.witnesses[0])
+            keys = grow_record(c, cap)
+            assert _paths(keys) == [witness]
+            got = find_companion(c, cap, Fraction(3, 5), keys[0])
             assert key_path(got) == expected
 
 
