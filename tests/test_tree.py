@@ -88,6 +88,8 @@ class TestGrowthRecord:
         parent, digit = c[:-1], c[-1]
         short = grow_children(parent, 3)
         assert isinstance(short, GrowthRecord)
+        assert not hasattr(short, "__dict__")     # slotted
+        assert short.cap == 3 and len(short.witnesses) == 3
         assert short.witnesses[digit] == []
         assert short.keys_within(digit, 3) == []
         assert short.keys_within(digit, 2) == []
@@ -100,14 +102,6 @@ class TestGrowthRecord:
         assert _paths(found.witnesses[digit]) == ["0001", "000001"]
         assert _paths(found.keys_within(digit, 40)) == ["0001", "000001"]
         assert found.keys_within(digit, 3) == []
-
-    def test_one_record_per_lookup(self):
-        record = grow_children((2,), 10)
-        assert len(record.witnesses) == 3
-        assert record.cap == 10
-        assert not hasattr(record, "__dict__")
-        for digit in range(3):
-            assert record.witnesses[digit] == grow_record((2, digit), 10)
 
 
 class TestConservation:
