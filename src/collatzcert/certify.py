@@ -349,19 +349,21 @@ def search(
     mode: str = PLAIN,
     checkpoint: str | None = None,
     cache: dict | None = None,
+    stop_at_stuck: bool = False,
 ) -> SearchOutcome:
     """Greedy exhaustive search for a certificate at the given ratio.
 
     Starts from the six two-digit codewords and tests each open codeword's
     tree, closing it with its path(s) or splitting it into its three
     one-digit extensions, until the code closes or a split would exceed
-    max_weight.  Delegates scheduling, and the argument checks, to
-    the engine.
+    max_weight.  With ``stop_at_stuck`` it stops at the first codeword
+    stuck there and reports only that one.  Delegates scheduling, and the
+    argument checks, to the engine.
     """
     from . import engine
 
     return engine.run(alpha, max_weight, mode, checkpoint_path=checkpoint,
-                      cache=cache)
+                      cache=cache, stop_at_stuck=stop_at_stuck)
 
 
 def depth_cap(level: int, alpha: Fraction) -> int:
@@ -415,7 +417,8 @@ class SweepState:
         champion, champ_cert = self.results.get(l - 1, (SWEEP_FLOOR, None))
         while True:
             test = farey_successor(champion, depth_cap(l, champion))
-            outcome = search(test, l, self.mode, cache=self.cache)
+            outcome = search(test, l, self.mode, cache=self.cache,
+                             stop_at_stuck=True)
             if isinstance(outcome, Unclosed):
                 break
             champion = outcome.min_ratio()

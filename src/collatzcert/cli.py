@@ -4,7 +4,8 @@ reports, witness chains, tree dumps, and per-level statistics.
 Exit codes: 0 success, 1 invalid certificate (one read that does not
 parse or verify, or one about to be written that does not verify), 2
 search unclosed, 3 usage or unusable input such as a checkpoint that
-cannot be resumed or an ``--out`` file that cannot be written.
+cannot be resumed or an ``--out`` or ``--checkpoint`` file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -124,10 +125,12 @@ def _refuted(cert) -> bool:
     return bool(violations)
 
 
-def _unwritable(path) -> bool:
-    """Whether an ``--out`` path cannot be written, judged without creating
-    or truncating it, so that a search is refused before it runs; prints
-    why, if it cannot."""
+def _unwritable(flag: str, path, in_place: bool = True) -> bool:
+    """Whether a file named by ``flag`` cannot be written, judged without
+    creating or truncating it, so that a search is refused before it runs;
+    prints why, if it cannot.  A file written in place needs itself
+    writable if it exists; one written beside itself and renamed over, as
+    a checkpoint is, needs its directory."""
     if not path:
         return False
     folder = os.path.dirname(path) or "."
@@ -135,11 +138,12 @@ def _unwritable(path) -> bool:
         why = f"no directory {folder}"
     elif os.path.isdir(path):
         why = "is a directory"
-    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+    elif not os.access(path if in_place and os.path.exists(path) else folder,
+                       os.W_OK):
         why = "not writable"
     else:
         return False
-    print(f"error: --out {path}: {why}", file=sys.stderr)
+    print(f"error: {flag} {path}: {why}", file=sys.stderr)
     return True
 
 
@@ -149,7 +153,8 @@ def _cmd_search(args) -> int:
         print(f"error: --max-weight {args.max_weight} beyond "
               f"{UNGUARDED_MAX_WEIGHT} needs --force", file=sys.stderr)
         return EXIT_USAGE
-    if _unwritable(args.out):
+    if (_unwritable("--out", args.out)
+            or _unwritable("--checkpoint", args.checkpoint, in_place=False)):
         return EXIT_USAGE
     outcome = engine.run(args.alpha, args.max_weight, mode,
                          checkpoint_path=args.checkpoint)
@@ -198,7 +203,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_max_alpha(args) -> int:
-    if _unwritable(args.out):
+    if _unwritable("--out", args.out):
         return EXIT_USAGE
     mode = STRONG if args.strong else PLAIN
     sweep = SweepState(mode=mode)

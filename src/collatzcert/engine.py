@@ -198,12 +198,64 @@ def _check_resumable(state: CheckpointState, path) -> None:
         raise ValueError(f"checkpoint {path}: {problems[0]}")
 
 
+def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
+            alpha: Fraction, mode: str) -> tuple[str, ...] | None:
+    """The close decision for one codeword, at its own level's cap, from
+    its parent's record in the memo, grown (or regrown) there when the
+    record cannot answer: siblings share a level and so a cap, so a record
+    grown for one of them answers all three, and every later query that
+    the record it replaces answered."""
+    cap = caps[len(c) - 1]
+    parent = c[:-1]
+    record = memo.get(parent)
+    keys = None if record is None else record.keys_within(c[-1], cap)
+    if keys is None:
+        record = memo[parent] = grow_children(parent, cap)
+        keys = record.keys_within(c[-1], cap)
+    return _close_decision(c, keys, cap, alpha, mode)
+
+
+def _first_stuck(alpha: Fraction, max_weight: int, mode: str,
+                 cache: dict | None) -> SearchOutcome:
+    """The search depth first, in canonical codeword order, which stops at
+    the first stuck codeword.
+
+    A codeword is decided, and split if it must be, before its next
+    sibling, so the closed entries come in canonical order and the first
+    codeword stuck at the weight cap is the least one.  Without a
+    ``cache``, the memo holds the records of the groups on the current
+    branch, each dropped when its last child is decided.
+    """
+    memo = {} if cache is None else cache
+    caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
+    closed: list[CertificateEntry] = []
+    todo = list(reversed(INITIAL_CODEWORDS))
+    while todo:
+        c = todo.pop()
+        paths = _decide(c, memo, caps, alpha, mode)
+        if cache is None and c[-1] == 2:
+            del memo[c[:-1]]
+        if paths is not None:
+            closed.append(CertificateEntry(codeword=c, paths=paths))
+        elif len(c) - 1 >= max_weight:
+            return Unclosed(alpha=alpha, mode=mode, max_weight=max_weight,
+                            open_codewords=[c])
+        else:
+            todo.extend(c + (d,) for d in (2, 1, 0))
+    kraft = _KraftLedger()
+    for e in closed:
+        kraft.add(len(e.codeword))
+    kraft.assert_exhaustive()
+    return Certificate(alpha=alpha, mode=mode, entries=closed)
+
+
 def run(
     alpha: Fraction,
     max_weight: int,
     mode: str = PLAIN,
     checkpoint_path: str | None = None,
     cache: dict | None = None,
+    stop_at_stuck: bool = False,
 ) -> SearchOutcome:
     """Run the certificate search to completion.
 
@@ -213,9 +265,14 @@ def run(
     change a single byte of it.  The checkpoint, if any, is written after
     every pass over the frontier.
 
+    With ``stop_at_stuck`` the search runs depth first instead and its
+    Unclosed report holds only the least stuck codeword, the first of the
+    full report; a certificate is the same.  It takes no checkpoint, since
+    it makes no passes.
+
     Growth records are memoised by parent, one for each group of siblings:
     in ``cache`` when the caller passes one, to share them across searches,
-    and otherwise only the group in hand.
+    and otherwise only the groups in hand.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,6 +280,11 @@ def run(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 1 <= max_weight <= MAX_CODEWORD_LEN:
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
+    if stop_at_stuck:
+        if checkpoint_path:
+            raise ValueError("a search that stops at the first stuck "
+                             "codeword takes no checkpoint")
+        return _first_stuck(alpha, max_weight, mode, cache)
 
     frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
@@ -243,26 +305,17 @@ def run(
         kraft.add(len(c))
 
     memo = {} if cache is None else cache
+    caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
     while frontier:
         deeper: list[tuple[int, ...]] = []
         for c in sorted(frontier):
-            level = len(c) - 1
-            cap = depth_cap(level, alpha)
-            parent = c[:-1]
-            record = memo.get(parent)
-            wits = None if record is None else record.keys_within(c[-1], cap)
-            # siblings share a level and so a cap: a record regrown for one
-            # of them answers all three, and every later query that the old
-            # record answered
-            if wits is None:
-                if cache is None:
-                    memo.clear()
-                record = memo[parent] = grow_children(parent, cap)
-                wits = record.keys_within(c[-1], cap)
-            paths = _close_decision(c, wits, cap, alpha, mode)
+            # without a cache the memo holds only the group in hand
+            if cache is None and c[:-1] not in memo:
+                memo.clear()
+            paths = _decide(c, memo, caps, alpha, mode)
             if paths is not None:
                 closed.append(CertificateEntry(codeword=c, paths=paths))
-            elif level >= max_weight:
+            elif len(c) - 1 >= max_weight:
                 stuck.append(c)
             else:
                 kraft.remove(len(c))

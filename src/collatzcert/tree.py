@@ -104,11 +104,15 @@ class GrowthRecord:
 
     def keys_within(self, digit: int, cap: int) -> list[int] | None:
         """The keys of child ``digit``'s leaves within ``cap``, or None
-        when a deeper cap could find more than the record holds."""
+        when a deeper cap could find more than the record holds.  When
+        every key is within the cap this is the record's own list, which
+        no caller may change."""
         keys = self.witnesses[digit]
         if cap > self.cap and len(keys) < 2:
             return None
         limit = 1 << (cap + 1)            # keys of depth <= cap lie below
+        if not keys or keys[-1] < limit:
+            return keys
         return [key for key in keys if key < limit]
 
 
