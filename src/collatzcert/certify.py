@@ -394,6 +394,9 @@ class SweepState:
     ratio a search at level l above ρ compares alpha with is a path ratio
     of depth at most that cap, so every test in between decides exactly as
     this one does.
+    Only whether a search closes matters here, so each runs depth first
+    and stops at its first stuck codeword (``stop_at_stuck``): a level's
+    failed search decides no codeword after it.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds one growth
     record for each group of siblings, keyed by their parent.

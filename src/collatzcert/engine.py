@@ -11,6 +11,12 @@ the parent.  The close decision reads a codeword's leaf keys from it and
 renders the ones it keeps as paths.  Splitting a codeword into its three
 one-digit extensions preserves the prefix-code property, which is asserted
 as an exact Kraft identity after every pass.
+
+The sweep only asks whether a search closes, so its searches run depth
+first instead, in canonical order, and stop at the first codeword stuck at
+the weight cap: a breadth-first search meets its stuck codewords only in
+its last pass.  Both loops decide a codeword by the same step, and a
+depth-first certificate is asserted exhaustive by the same Kraft ledger.
 """
 
 from __future__ import annotations
@@ -215,7 +221,7 @@ def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
     return _close_decision(c, keys, cap, alpha, mode)
 
 
-def _first_stuck(alpha: Fraction, max_weight: int, mode: str,
+def _depth_first(alpha: Fraction, max_weight: int, mode: str,
                  cache: dict | None) -> SearchOutcome:
     """The search depth first, in canonical codeword order, which stops at
     the first stuck codeword.
@@ -284,7 +290,7 @@ def run(
         if checkpoint_path:
             raise ValueError("a search that stops at the first stuck "
                              "codeword takes no checkpoint")
-        return _first_stuck(alpha, max_weight, mode, cache)
+        return _depth_first(alpha, max_weight, mode, cache)
 
     frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tables import reference_plain_text, reference_strong_text
 
-from collatzcert import certify
+from collatzcert import certify, engine
 from collatzcert.certify import (
     Certificate,
     CertificateEntry,
@@ -265,6 +265,28 @@ class TestSweep:
         monkeypatch.setattr(certify, "search", spy)
         SweepState(mode=mode).level(top)
         assert seen == tests
+
+    @pytest.mark.parametrize("mode,top,searches", [
+        ("plain", 10, 23), ("strong", 8, 21)])
+    def test_depth_first_matches_breadth_first(self, sweep_both_ways, mode,
+                                               top, searches):
+        assert sweep_both_ways(mode, top, cold=True) == searches
+
+    @pytest.mark.parametrize("mode,top,decisions", [
+        ("plain", 10, 2247), ("strong", 8, 2218)])
+    def test_close_decisions(self, monkeypatch, mode, top, decisions):
+        # each level's failed search stops at its first stuck codeword;
+        # run breadth first to the end, the same searches make 3681 and 3225
+        calls = []
+        real = engine._close_decision
+
+        def decide(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_close_decision", decide)
+        SweepState(mode=mode).level(top)
+        assert len(calls) == decisions
 
     @pytest.mark.parametrize("level", [0, 81])
     def test_refuses_a_level_out_of_range_before_any_search(self, monkeypatch,

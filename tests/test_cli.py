@@ -113,8 +113,9 @@ class TestSearchCommand:
 
 
 class TestUnwritableOutIsRefusedFirst:
-    """An ``--out`` that cannot be written is refused, with exit 3, before
-    any tree is grown, and the path is neither created nor truncated."""
+    """An ``--out`` or ``--checkpoint`` that cannot be written is refused,
+    with exit 3, before any tree is grown, and the path is neither created
+    nor truncated."""
 
     @pytest.fixture
     def no_growth(self, monkeypatch):
@@ -133,6 +134,16 @@ class TestUnwritableOutIsRefusedFirst:
         assert captured.out == ""
         assert captured.err == f"error: --out {out}: no directory {out.parent}\n"
         assert not out.parent.exists()
+
+    def test_missing_checkpoint_directory(self, tmp_path, capsys, no_growth):
+        cp = tmp_path / "missing" / "x.ckpt"
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --checkpoint {cp}: no directory {cp.parent}\n")
+        assert not cp.parent.exists()
 
     @pytest.mark.parametrize("argv", [
         ["search", "--alpha", "1/3", "--max-weight", "4"],

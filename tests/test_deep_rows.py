@@ -1,7 +1,9 @@
-"""Deep sweep rows, each pinned with the sha256 of its certificate's text.
+"""Deep sweep rows, each pinned with the sha256 of its certificate's text,
+and the sweep's depth-first searches checked against breadth-first ones at
+the benchmark's sizes.
 
 The plain sweep to level 18 takes about half a minute and the strong sweep
-to level 15 several seconds, too long for the default run, so these run
+to level 16 several seconds, too long for the default run, so these run
 only with COLLATZCERT_DEEP=1 in the environment.
 """
 
@@ -30,6 +32,8 @@ DEEP_ROWS = {
          "c09fe23bfc0d60b4de348f3c65d5551c9b974e938394d3401f13788301716574"),
         (15, Fraction(3, 7), 16182, 35,
          "4fdb85743a58dac1c0022cf248c44a27a84f1faad92f07cac1a0568b15ab0338"),
+        (16, Fraction(16, 37), 34264, 37,
+         "8295d9e8a98734b25b363dc052700fafddce840d50be4dba8f82d83846489072"),
     ],
 }
 
@@ -43,3 +47,8 @@ def test_deep_rows(mode):
         assert row == (alpha, size, depth), level
         text = cert.to_text().encode()
         assert hashlib.sha256(text).hexdigest() == digest, level
+
+
+@pytest.mark.parametrize("mode,top", [("plain", 16), ("strong", 13)])
+def test_depth_first_matches_breadth_first(sweep_both_ways, mode, top):
+    assert sweep_both_ways(mode, top) > top

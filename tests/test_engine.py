@@ -207,6 +207,65 @@ class TestGrowthCache:
             assert all(type(keys) is list for keys in record.witnesses)
 
 
+class TestDepthFirst:
+    def test_report_holds_the_least_stuck_codeword(self):
+        wide = run(Fraction(5, 14), 4, "plain")
+        assert isinstance(wide, Unclosed) and len(wide.open_codewords) > 1
+        out = run(Fraction(5, 14), 4, "plain", stop_at_stuck=True)
+        assert out.open_codewords == wide.open_codewords[:1]
+
+    @pytest.mark.parametrize("alpha,weight,mode", [
+        (Fraction(1, 3), 4, "plain"), (Fraction(5, 14), 6, "plain"),
+        (Fraction(1, 3), 5, "strong")])
+    def test_certificate_asserts_kraft_once(self, monkeypatch, alpha, weight,
+                                            mode):
+        wide = run(alpha, weight, mode).to_text()
+        checks = []
+        real = engine._KraftLedger.assert_exhaustive
+
+        def check(ledger):
+            checks.append(ledger)
+            real(ledger)
+
+        monkeypatch.setattr(engine._KraftLedger, "assert_exhaustive", check)
+        assert run(alpha, weight, mode, stop_at_stuck=True).to_text() == wide
+        assert len(checks) == 1
+
+    def test_checkpoint_is_refused(self, tmp_path, monkeypatch):
+        def grow(*args):
+            raise AssertionError("grow_children called")
+
+        monkeypatch.setattr(engine, "grow_children", grow)
+        cp = tmp_path / "state"
+        with pytest.raises(ValueError, match="takes no checkpoint"):
+            run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp),
+                stop_at_stuck=True)
+        assert not cp.exists()
+
+    def test_canonical_order_grows_each_group_once(self, monkeypatch):
+        # without a cache a group's record is kept until its last child is
+        # decided, across the branches below its first children
+        grown, decided = [], []
+        real_grow, real_decide = engine.grow_children, engine._close_decision
+
+        def grow(parent, cap):
+            grown.append(parent)
+            return real_grow(parent, cap)
+
+        def decide(codeword, *args):
+            decided.append(codeword)
+            return real_decide(codeword, *args)
+
+        monkeypatch.setattr(engine, "grow_children", grow)
+        monkeypatch.setattr(engine, "_close_decision", decide)
+        out = run(Fraction(5, 14), 6, "plain", stop_at_stuck=True)
+        assert [e.codeword for e in out.entries] == sorted(
+            e.codeword for e in out.entries)
+        assert decided == sorted(decided)
+        assert sorted(grown) == sorted({c[:-1] for c in decided})
+        assert len(decided) == 3 * len(grown)
+
+
 class TestStats:
     def test_reference_counts(self, reference_plain):
         assert stats(reference_plain) == [(1, 12), (2, 7), (3, 5), (4, 3)]
