@@ -25,6 +25,7 @@ from .numth import (
     codeword_from_display,
     codeword_value,
     t_map,
+    trajectory,
 )
 PLAIN = "plain"
 STRONG = "strong"
@@ -508,7 +509,10 @@ def witnesses(
     suffix_ones = 0
     if anchor in (1, 2):
         start = 41
-        parity = _forward_check(start, _steps_to(start, anchor), anchor)
+        # 41's trajectory reaches 2 one step before it first reaches 1
+        parity = trajectory(start).parity
+        if anchor == 2:
+            parity = parity[:-1]
         suffix_k = len(parity)
         suffix_ones = parity.count("1")
 
@@ -536,12 +540,3 @@ def witnesses(
             if len(out) >= count:
                 break
     return out
-
-
-def _steps_to(n: int, target: int, cap: int = 10_000) -> int:
-    v = n
-    for k in range(1, cap + 1):
-        v = t_map(v)
-        if v == target:
-            return k
-    raise AssertionError(f"{n} did not reach {target} within {cap} steps")

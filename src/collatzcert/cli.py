@@ -4,8 +4,8 @@ reports, witness chains, tree dumps, and per-level statistics.
 Exit codes: 0 success, 1 invalid certificate (one read that does not
 parse or verify, or one about to be written that does not verify), 2
 search unclosed, 3 usage or unusable input such as a checkpoint that
-cannot be resumed or an ``--out`` or ``--checkpoint`` file that cannot be
-written.
+cannot be resumed or an ``--out``, ``--checkpoint`` or ``--csv`` file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -172,14 +172,12 @@ def _cmd_search(args) -> int:
         return EXIT_UNCLOSED
     if _refuted(outcome):
         return EXIT_INVALID
-    text = outcome.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_certificate(outcome, args.out)
         print(f"closed size={outcome.size} max-weight={outcome.max_weight()} "
               f"max-depth={outcome.max_depth()} -> {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(outcome.to_text())
     return EXIT_OK
 
 
@@ -269,6 +267,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if _unwritable("--csv", args.csv):
+        return EXIT_USAGE
     cert = _load(args.cert)
     if cert is None or _refuted(cert):
         return EXIT_INVALID

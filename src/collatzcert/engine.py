@@ -17,6 +17,10 @@ first instead, in canonical order, and stop at the first codeword stuck at
 the weight cap: a breadth-first search meets its stuck codewords only in
 its last pass.  Both loops decide a codeword by the same step, and a
 depth-first certificate is asserted exhaustive by the same Kraft ledger.
+Without a cache to share, both keep the memo by one rule: a group's record
+is dropped as soon as its child ending in 2 is decided.  So the memo holds
+the groups in hand, and at most one record per open codeword of a resumed
+group that lacks that child.
 """
 
 from __future__ import annotations
@@ -228,9 +232,7 @@ def _depth_first(alpha: Fraction, max_weight: int, mode: str,
 
     A codeword is decided, and split if it must be, before its next
     sibling, so the closed entries come in canonical order and the first
-    codeword stuck at the weight cap is the least one.  Without a
-    ``cache``, the memo holds the records of the groups on the current
-    branch, each dropped when its last child is decided.
+    codeword stuck at the weight cap is the least one.
     """
     memo = {} if cache is None else cache
     caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
@@ -278,7 +280,8 @@ def run(
 
     Growth records are memoised by parent, one for each group of siblings:
     in ``cache`` when the caller passes one, to share them across searches,
-    and otherwise only the groups in hand.
+    and otherwise in a memo of the search's own, under the module's one
+    rule for it.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -315,10 +318,9 @@ def run(
     while frontier:
         deeper: list[tuple[int, ...]] = []
         for c in sorted(frontier):
-            # without a cache the memo holds only the group in hand
-            if cache is None and c[:-1] not in memo:
-                memo.clear()
             paths = _decide(c, memo, caps, alpha, mode)
+            if cache is None and c[-1] == 2:
+                del memo[c[:-1]]
             if paths is not None:
                 closed.append(CertificateEntry(codeword=c, paths=paths))
             elif len(c) - 1 >= max_weight:

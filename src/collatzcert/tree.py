@@ -6,12 +6,14 @@ knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
 reaching weight l (m=1) is frozen as a witness leaf.  Growth is a search
 for the first two witness leaves: what lies below a node depends only on
 its class mod 3^m, and a leaf is at least m-1 edges below it.  Every query
-the search makes is one call of ``_leaves``, which always keeps two.  The
-first two leaves below every class with m <= 10 are held in tables that
-all growths share; a coarser node is walked depth-first along its 0-edge
-chain, each 1-edge child being walked in turn or read from its table.  So
-a growth holds what a table slot holds, the first two leaves, cut at its
-cap; plain mode reads the first, strong mode both.
+the search makes is one call of ``_leaves``, which merges leaves into a
+two-slot pair, ascending and padded with the query's key limit, so the
+worst key kept is always the pair's second slot.  The first two leaves
+below every class with m <= 10 are held in tables that all growths share;
+a coarser node is walked depth-first along its 0-edge chain, each 1-edge
+child being walked in turn or read from its table.  So a growth holds what
+a table slot holds, the first two leaves, cut at its cap; plain mode reads
+the first, strong mode both.  Only the growth record drops the pads.
 
 Table m is built whole from table m-1 the first time a growth needs it:
 the leaves below a class are those below its 0-edge child, one edge
@@ -126,7 +128,9 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     the root of c·0 serves all three: a table answers each sibling's class
     at once, which is the whole lookup when c has at most 9 digits, and a
     walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
-    any of them.  ``witnesses[d]`` equals ``grow_record(c + (d,),
+    any of them.  Each child's pair starts as two pads, the key limit of
+    the cap, and the record keeps the keys below that limit, so its lists
+    hold no pad.  ``witnesses[d]`` equals ``grow_record(c + (d,),
     depth_cap)``.
     """
     c = check_codeword(codeword)
@@ -135,13 +139,13 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
 
-    bests: tuple[list[int], ...] = ([], [], [])
     m = len(c) + 1
-    limit = 1 << (depth_cap + 1)
+    limit = 1 << (depth_cap + 1)          # keys of depth <= cap lie below
+    bests = ([limit, limit], [limit, limit], [limit, limit])
     stats = [0, m]
-    _leaves(codeword_value(c), m, 1, bests, limit, limit, stats)
-    return GrowthRecord(cap=depth_cap, witnesses=bests,
-                        nodes_expanded=stats[0],
+    _leaves(codeword_value(c), m, 1, bests, limit, stats)
+    keys = tuple([k for k in best if k < limit] for best in bests)
+    return GrowthRecord(cap=depth_cap, witnesses=keys, nodes_expanded=stats[0],
                         frontier_peak=m - stats[1] + 1)
 
 
@@ -161,21 +165,22 @@ def grow_record(codeword, depth_cap: int) -> list[int]:
     return grow_children(c[:-1], depth_cap).witnesses[c[-1]]
 
 
-def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
+def _leaves(v: int, m: int, key: int, bests, bound: int,
             stats: list[int]) -> int:
     """Merge the first two leaves below a node, whose key is ``key``, into
     ``bests``, and return the key a leaf must now beat to be kept.
 
-    ``bests[d]`` collects the two smallest leaf keys below ``limit``,
-    sorted, of the tree in which the node has the class
-    v + d·2^D·3^(m-1) mod 3^m, D being its depth: one list serves one
-    tree, three serve three siblings at once.  ``bound`` is the key a leaf
-    must beat to be kept in one of them.  A node known mod 3^m with
-    2 <= m <= TABLE_MAX_EXPONENT is answered by the tables, and a coarser
-    one is walked.
+    ``bests[d]`` pairs the two smallest leaf keys found so far, ascending
+    and padded with the caller's key limit, of the tree in which the node
+    has the class v + d·2^D·3^(m-1) mod 3^m, D being its depth: one pair
+    serves one tree, three serve three siblings at once.  A leaf is kept
+    only if it beats its pair's second slot, so no pad is ever kept as a
+    key.  ``bound`` is the largest second slot, the key a leaf must beat to
+    be kept in any pair.  The tables answer a node known mod 3^m with
+    2 <= m <= TABLE_MAX_EXPONENT, and a coarser one is walked.
     """
     if m > TABLE_MAX_EXPONENT:
-        return _walk(v, m, key, bests, limit, bound, stats)
+        return _walk(v, m, key, bests, bound, stats)
     table = _leaf_tables[m] or _build_table(m)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
@@ -184,7 +189,7 @@ def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
     least, stem = ((key + 1) << (m - 1)) - 1, key - 1
     bound = 0
     for best in bests:
-        worst = best[-1] if len(best) == 2 else limit
+        worst = best[1]
         if least < worst:
             rel = table[v + v]
             leaf = (stem << (rel.bit_length() - 1)) + rel
@@ -192,17 +197,16 @@ def _leaves(v: int, m: int, key: int, bests, limit: int, bound: int,
                 _keep(best, leaf)
                 rel = table[v + v + 1]
                 leaf = (stem << (rel.bit_length() - 1)) + rel
-                worst = best[-1] if len(best) == 2 else limit
-                if leaf < worst:
+                if leaf < best[1]:
                     _keep(best, leaf)
-                    worst = best[-1]
+                worst = best[1]
         if worst > bound:
             bound = worst
         v = (v + step) % mod
     return bound
 
 
-def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
+def _walk(v: int, m: int, key: int, bests, bound: int,
           stats: list[int]) -> int:
     """``_leaves`` of a node known mod 3^m, m > TABLE_MAX_EXPONENT, by
     walking its 0-edge chain.
@@ -228,7 +232,7 @@ def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
     while key <= top:
         steps += 1
         bound = descend(((v + v - 1) // 3) % sub, reach, key + key + 1,
-                        bests, limit, bound, stats)
+                        bests, bound, stats)
         top = (bound >> reach) - 1
         if r == 2:
             v, key, r = (v << 2) % mod, key << 2, 8
@@ -239,14 +243,12 @@ def _walk(v: int, m: int, key: int, bests, limit: int, bound: int,
 
 
 def _keep(best: list[int], leaf: int) -> None:
-    """Insert a leaf key that beats the worst one kept, keeping two."""
-    if not best or leaf > best[-1]:
-        best.append(leaf)
-    elif leaf > best[0]:
-        best.insert(1, leaf)
+    """Put a leaf key that beats ``best[1]`` into the ascending pair,
+    dropping the pair's worst key or pad."""
+    if leaf < best[0]:
+        best[0], best[1] = leaf, best[0]
     else:
-        best.insert(0, leaf)
-    del best[2:]
+        best[1] = leaf
 
 
 def _build_table(m: int) -> array:
@@ -309,8 +311,10 @@ def find_companion(
     prefix of the witness leaf whose key is ``witness_key``, or None.  Down
     to weight w a codeword's tree has the shape of the tree of its first
     w+1 digits, so the first weight-w nodes are that prefix's first two
-    leaves, which ``_leaves`` gives from a table or a walk; one of them may
-    lie on the witness path, and then so may some of its 0-edge chain.
+    leaves, which ``_leaves`` gives from a table or a walk in a pair padded
+    with the weight's key limit; the first may lie on the witness path, and
+    then so may some of its 0-edge chain.  A candidate is taken only below
+    that limit, which is at most the best found so far, so no pad is.
 
     The nodes searched are those of the unpruned tree.  For alpha <= 1/2
     the first qualifying one is also the first of the pruned tree, so that
@@ -327,23 +331,19 @@ def find_companion(
             break
         v += codeword[w] * POW3[w]
         limit = min(best, 1 << (min(cap, w * ad // an) + 1))
-        leaves: list[int] = []
-        _leaves(v, w + 1, 1, (leaves,), limit, limit, [0, w + 1])
-        if not leaves:
-            continue
-        first = leaves[0]
+        leaves = [limit, limit]
+        _leaves(v, w + 1, 1, (leaves,), limit, [0, w + 1])
+        first, second = leaves
         d = first.bit_length() - 1
-        if not (d < wd and witness_key >> (wd - d) == first):
+        if d < wd and witness_key >> (wd - d) == first:
+            # the witness runs on along first's 0-edge chain for ``zeros``
+            # edges; the next node of that chain is the first one off its
+            # path, and the second leaf is off it too
+            zeros = wd - d - (witness_key & ((1 << (wd - d)) - 1)).bit_length()
+            first = min(first << (zeros + 1), second)
+        # a pad is the limit itself, and never beats it
+        if first < limit:
             best = first
-            continue
-        # the witness runs on along first's 0-edge chain for ``zeros``
-        # edges; the next node of that chain is the first one off its path
-        zeros = wd - d - (witness_key & ((1 << (wd - d)) - 1)).bit_length()
-        after = first << (zeros + 1)
-        if after < limit:
-            best = after
-        if len(leaves) > 1 and leaves[1] < best:
-            best = leaves[1]
     return None if best == unset else best
 
 

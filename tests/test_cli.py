@@ -370,6 +370,21 @@ class TestStatsCommand:
         assert lines[0].startswith("invalid: entry 12, path 1")
         assert not out.exists()
 
+    def test_missing_csv_directory_is_refused_first(
+            self, plain_cert_file, tmp_path, capsys, monkeypatch):
+        # refused by name, before the certificate is verified
+        def verify(*args, **kwargs):
+            raise AssertionError("verify called")
+
+        monkeypatch.setattr(cli, "verify", verify)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["stats", "--cert", plain_cert_file,
+                     "--csv", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --csv {out}: no directory {out.parent}\n"
+        assert not out.parent.exists()
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -2,9 +2,9 @@
 and the sweep's depth-first searches checked against breadth-first ones at
 the benchmark's sizes.
 
-The plain sweep to level 18 takes about half a minute and the strong sweep
-to level 16 several seconds, too long for the default run, so these run
-only with COLLATZCERT_DEEP=1 in the environment.
+The plain sweep to level 18 and the strong sweep to level 18 take about
+half a minute each, too long for the default run, so these run only with
+COLLATZCERT_DEEP=1 in the environment.
 """
 
 import hashlib
@@ -34,6 +34,10 @@ DEEP_ROWS = {
          "4fdb85743a58dac1c0022cf248c44a27a84f1faad92f07cac1a0568b15ab0338"),
         (16, Fraction(16, 37), 34264, 37,
          "8295d9e8a98734b25b363dc052700fafddce840d50be4dba8f82d83846489072"),
+        (17, Fraction(17, 39), 64960, 39,
+         "df8317fe81485048ec25de2f0b6e14f9c0c7691454b472e84b77a297677ae4cc"),
+        (18, Fraction(18, 41), 91170, 41,
+         "128001f519596d60ad0e52af07bdb7c268ca5a81c83d638d592c2df0d453977f"),
     ],
 }
 

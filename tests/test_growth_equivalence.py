@@ -189,8 +189,8 @@ def test_leaf_tables_from_fresh(monkeypatch):
                 continue
             assert 0 < first < second < limit, (v, m)
             deepest = max(deepest, second.bit_length() - 1)
-            best = []
-            tree._walk(v, m, 1, (best,), limit, limit, [0, m])
+            best = [limit, limit]
+            tree._walk(v, m, 1, (best,), limit, [0, m])
             assert best == [first, second], (v, m)
             if m <= 6:
                 walked += 1

@@ -103,6 +103,29 @@ class TestGrowthRecord:
         assert _paths(found.keys_within(digit, 40)) == ["0001", "000001"]
         assert found.keys_within(digit, 3) == []
 
+    @pytest.mark.parametrize("parent,cap,expanded,peak,keys", [
+        # up to 9 digits the tables answer the whole group: nothing walked
+        ((1, 2), 8, 0, 1, ([69, 273], [69, 131], [131, 273])),
+        ((2, 2, 1), 6, 0, 1, ([51, 113], [29, 113], [29, 51])),
+        # from 11 digits the group's tree is walked; a cap that leaves a
+        # child fewer than two leaves leaves no pad in its list
+        ((1, 0, 2, 1, 2, 0, 1, 1, 2, 0, 1), 12, 1, 2, ([], [], [])),
+        ((1, 0, 2, 1, 2, 0, 1, 1, 2, 0, 1), 22, 14, 2,
+         ([], [4633147], [4633147])),
+        ((1, 0, 2, 1, 2, 0, 1, 1, 2, 0, 1), 30, 15, 2,
+         ([9205915, 9266279], [4633147, 9205915], [4633147, 9206317])),
+        ((2, 1, 0, 0, 2, 1, 2, 2, 0, 1, 1, 2), 34, 20, 3,
+         ([2483325, 4966643], [2483325, 4967141], [4966643, 4967141])),
+        ((1, 2, 0, 1, 1, 0, 2, 2, 1, 0, 2, 1, 1), 40, 59, 4,
+         ([71710669, 143421331], [143421331, 143421381],
+          [71710669, 143421381])),
+    ])
+    def test_growth_counters(self, parent, cap, expanded, peak, keys):
+        record = grow_children(parent, cap)
+        assert record.nodes_expanded == expanded
+        assert record.frontier_peak == peak
+        assert record.witnesses == keys
+
 
 class TestConservation:
     def test_modulus_plus_weight_is_constant(self):
