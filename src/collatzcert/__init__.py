@@ -19,7 +19,14 @@ from .certify import (
     verify,
     witnesses,
 )
-from .engine import CheckpointState, load_checkpoint, run, save_checkpoint, stats
+from .engine import (
+    CheckpointSegment,
+    CheckpointState,
+    load_checkpoint,
+    run,
+    save_checkpoint,
+    stats,
+)
 from .numth import (
     TrajectoryReport,
     codeword_display,

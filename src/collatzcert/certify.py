@@ -259,14 +259,21 @@ def verify(cert: Certificate) -> list[Violation]:
     return out
 
 
-def parse_records(text: str, kind: str, parse_record) -> tuple:
-    """The line loop both file formats share: a required trailing newline,
-    blank and ``#`` lines skipped, the ``kind`` header first, then one
-    record per line read by ``parse_record``.  Every error is located as
-    ``line N: ...``.  Returns (mode, alpha, records)."""
+def whole_lines(text: str) -> list[str]:
+    """The lines of a file that must end in a newline, without their
+    newlines; a missing one is an error located at the last line."""
     lines = text.split("\n")
-    if text and not text.endswith("\n"):
+    if lines[-1]:
         raise ValueError("line %d: missing trailing newline" % len(lines))
+    return lines[:-1]
+
+
+def parse_records(lines: list[str], kind: str, parse_record,
+                  version: str = "v1") -> tuple:
+    """The line loop both file formats share: blank and ``#`` lines
+    skipped, the ``kind`` header of ``version`` first, then one record per
+    line read by ``parse_record``.  Every error is located as
+    ``line N: ...``.  Returns (mode, alpha, records)."""
     header = None
     records = []
     for lineno, raw in enumerate(lines, start=1):
@@ -275,7 +282,7 @@ def parse_records(text: str, kind: str, parse_record) -> tuple:
             continue
         try:
             if header is None:
-                header = parse_header(line, kind)
+                header = parse_header(line, kind, version)
             else:
                 records.append(parse_record(line))
         except ValueError as exc:
@@ -287,13 +294,15 @@ def parse_records(text: str, kind: str, parse_record) -> tuple:
 
 def parse_certificate(text: str) -> Certificate:
     """Parse the line-oriented certificate format; errors carry line numbers."""
-    mode, alpha, entries = parse_records(text, "certificate", parse_entry)
+    mode, alpha, entries = parse_records(whole_lines(text), "certificate",
+                                         parse_entry)
     return Certificate(alpha=alpha, mode=mode, entries=entries)
 
 
-def parse_header(line: str, kind: str) -> tuple[str, Fraction]:
+def parse_header(line: str, kind: str,
+                 version: str = "v1") -> tuple[str, Fraction]:
     parts = line.split()
-    if len(parts) != 4 or parts[0] != kind or parts[1] != "v1":
+    if len(parts) != 4 or parts[0] != kind or parts[1] != version:
         raise ValueError(f"bad {kind} header {line!r}")
     if not parts[2].startswith("mode=") or not parts[3].startswith("alpha="):
         raise ValueError(f"bad {kind} header fields {line!r}")

@@ -21,12 +21,23 @@ Without a cache to share, both keep the memo by one rule: a group's record
 is dropped as soon as its child ending in 2 is decided.  So the memo holds
 the groups in hand, and at most one record per open codeword of a resumed
 group that lacks that child.
+
+A breadth-first run with a checkpoint writes the file whole once, as
+segment 0: the frontier it starts from and the entries it carries over.
+After each pass it appends one segment, the entries that pass closed and
+the codewords it left stuck, ended by the pass's ``end N`` marker.  A pass
+decides its whole frontier, so the next one is derived, not written: the
+children of every codeword the pass neither closed nor left stuck.  Each
+closed entry is written once, and a checkpoint is about one certificate's
+worth of text.  An append cut short leaves lines after the last marker,
+which the loader drops.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import (
@@ -42,6 +53,7 @@ from .certify import (
     entry_violations,
     parse_entry,
     parse_records,
+    whole_lines,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
 from .tree import find_companion, grow_children, key_path
@@ -54,51 +66,50 @@ INITIAL_CODEWORDS = tuple(
 
 @dataclass
 class CheckpointState:
-    """Resumable snapshot of a search: everything still open, everything closed."""
+    """Resumable snapshot of a search: the codewords still open, those stuck
+    at the weight cap, and the closed entries."""
 
     alpha: Fraction
     mode: str
     open_codewords: list[tuple[int, ...]]
     closed: list[CertificateEntry]
+    stuck: list[tuple[int, ...]] = field(default_factory=list)
 
     def counters(self) -> dict[int, dict[str, int]]:
-        """Per-level opened/closed/split counts, derived from the records.
+        """Per-level opened/closed/stuck/split counts, derived from the records.
 
         opened(1) = 6; opened(l+1) = 3 * split(l); split(l) is whatever was
-        neither closed nor left open at level l.
+        neither closed, stuck nor left open at level l.
         """
-        closed_at: dict[int, int] = {}
-        open_at: dict[int, int] = {}
-        for e in self.closed:
-            closed_at[e.level] = closed_at.get(e.level, 0) + 1
-        for c in self.open_codewords:
-            open_at[len(c) - 1] = open_at.get(len(c) - 1, 0) + 1
-        top = max([1, *closed_at, *open_at])
+        closed_at = Counter(e.level for e in self.closed)
+        open_at = Counter(len(c) - 1 for c in self.open_codewords)
+        stuck_at = Counter(len(c) - 1 for c in self.stuck)
+        top = max([1, *closed_at, *open_at, *stuck_at])
         out: dict[int, dict[str, int]] = {}
         opened = 6
         for lv in range(1, top + 1):
-            split = opened - closed_at.get(lv, 0) - open_at.get(lv, 0)
+            split = opened - closed_at[lv] - open_at[lv] - stuck_at[lv]
             out[lv] = {
                 "opened": opened,
-                "closed": closed_at.get(lv, 0),
+                "closed": closed_at[lv],
+                "stuck": stuck_at[lv],
                 "split": split,
             }
             opened = 3 * split
         return out
 
-    def to_text(self) -> str:
-        lines = [
-            f"checkpoint v1 mode={self.mode} "
-            f"alpha={self.alpha.numerator}/{self.alpha.denominator}"
-        ]
-        for c in sorted(self.open_codewords):
-            lines.append(f"open {codeword_display(c)}")
-        for e in sorted(self.closed, key=lambda e: e.codeword):
-            lines.append(f"closed {e.to_line()}")
-        return "\n".join(lines) + "\n"
+
+@dataclass
+class CheckpointSegment:
+    """What one pass over the frontier decided: the entries it closed and
+    the codewords it left stuck, each in canonical order."""
+
+    number: int
+    closed: list[CertificateEntry]
+    stuck: list[tuple[int, ...]]
 
 
-def _parse_checkpoint_record(line: str):
+def _parse_v1_record(line: str):
     kind, _, rest = line.partition(" ")
     if kind == "open":
         return codeword_from_display(rest.strip())
@@ -107,38 +118,164 @@ def _parse_checkpoint_record(line: str):
     raise ValueError(f"unknown record {kind!r}")
 
 
+class _PassReader:
+    """The records of a v2 checkpoint, read in order.
+
+    Segment 0 lists the frontier a run starts from as ``open`` lines.  Each
+    later segment is one pass, which decides its whole frontier: the
+    codewords it neither closes nor marks stuck are split, so the next
+    pass's frontier is derived from them, and only a codeword of the
+    current frontier may be closed or marked stuck.
+    """
+
+    def __init__(self):
+        self.number: int | None = None      # the last end marker read
+        self.frontier: set[tuple[int, ...]] = set()
+        self.closed: list[CertificateEntry] = []
+        self.stuck: list[tuple[int, ...]] = []
+
+    def __call__(self, line: str) -> None:
+        kind, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if kind == "end":
+            self._end(rest)
+            return
+        if kind == "open":
+            if self.number is not None:
+                raise ValueError("open record after end 0")
+            codeword = codeword_from_display(rest)
+            if codeword in self.frontier:
+                raise ValueError(f"open codeword {rest} listed twice")
+            self.frontier.add(codeword)
+            return
+        if kind == "closed":
+            entry = parse_entry(rest)
+            codeword = entry.codeword
+        elif kind == "stuck":
+            codeword = codeword_from_display(rest)
+        else:
+            raise ValueError(f"unknown record {kind!r}")
+        if self.number is not None:
+            if codeword not in self.frontier:
+                raise ValueError(
+                    f"{kind} codeword {codeword_display(codeword)} is not "
+                    f"open in pass {self.number + 1}")
+            self.frontier.remove(codeword)
+        if kind == "closed":
+            self.closed.append(entry)
+        else:
+            self.stuck.append(codeword)
+
+    def _end(self, rest: str) -> None:
+        due = 0 if self.number is None else self.number + 1
+        if rest != str(due):
+            raise ValueError(f"end marker {rest!r} where end {due} is due")
+        if due:
+            for c in self.frontier:
+                if len(c) >= MAX_CODEWORD_LEN:
+                    raise ValueError(
+                        f"pass {due} splits {codeword_display(c)} into "
+                        f"codewords longer than {MAX_CODEWORD_LEN} digits")
+            self.frontier = {c + (d,) for c in self.frontier for d in (0, 1, 2)}
+        self.number = due
+
+
+def _complete_passes(lines: list[str]) -> list[str]:
+    """The lines of a text split at its newlines, up to its last end marker:
+    what follows, the last line (which has no newline) among it, is a pass
+    torn by an interrupted append, and is dropped."""
+    for i in range(len(lines) - 2, -1, -1):
+        if lines[i].strip().partition(" ")[0] == "end":
+            return lines[:i + 1]
+    raise ValueError(f"line {max(len(lines) - 1, 1)}: no end 0 marker")
+
+
+def _header_version(lines: list[str]) -> str | None:
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            return parts[1] if parts[:1] == ["checkpoint"] and len(parts) > 1 else None
+    return None
+
+
 def parse_checkpoint(text: str) -> CheckpointState:
-    mode, alpha, records = parse_records(text, "checkpoint",
-                                         _parse_checkpoint_record)
-    closed = [r for r in records if isinstance(r, CertificateEntry)]
-    open_codewords = [r for r in records if not isinstance(r, CertificateEntry)]
+    """Parse either checkpoint format; errors carry line numbers.
+
+    A v1 file lists every open codeword (stuck ones among them) and every
+    closed entry.  A v2 file is segment 0, written whole, then one segment
+    per pass, appended, each ended by its ``end N`` marker; lines after the
+    last marker are dropped, and the open codewords are the frontier
+    derived after it, in canonical order.  Closed entries are listed in
+    the order the file lists them.
+    """
+    lines = text.split("\n")
+    if _header_version(lines) != "v2":
+        mode, alpha, records = parse_records(whole_lines(text), "checkpoint",
+                                             _parse_v1_record)
+        return CheckpointState(
+            alpha=alpha, mode=mode,
+            open_codewords=[r for r in records
+                            if not isinstance(r, CertificateEntry)],
+            closed=[r for r in records if isinstance(r, CertificateEntry)])
+    reader = _PassReader()
+    mode, alpha, _ = parse_records(_complete_passes(lines), "checkpoint",
+                                   reader, "v2")
     return CheckpointState(alpha=alpha, mode=mode,
-                           open_codewords=open_codewords, closed=closed)
+                           open_codewords=sorted(reader.frontier),
+                           closed=reader.closed, stuck=reader.stuck)
 
 
 def load_checkpoint(path) -> CheckpointState:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_checkpoint(fh.read())
+        text = fh.read()
+    try:
+        return parse_checkpoint(text)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
 
 
-def save_checkpoint(state: CheckpointState, path) -> None:
+def save_checkpoint(record: CheckpointState | CheckpointSegment, path) -> None:
+    """Write a search's checkpoint in the v2 format.
+
+    A CheckpointState is written whole, as segment 0, to a file beside
+    ``path`` that is then renamed over it; a CheckpointSegment, one pass,
+    is appended, closed entries first, then the stuck codewords, then its
+    end marker.
+    """
+    appended = isinstance(record, CheckpointSegment)
+    if appended:
+        lines, number = [], record.number
+    else:
+        alpha = record.alpha
+        lines = [f"checkpoint v2 mode={record.mode} "
+                 f"alpha={alpha.numerator}/{alpha.denominator}"]
+        lines.extend(f"open {codeword_display(c)}" for c in record.open_codewords)
+        number = 0
+    lines.extend(f"closed {e.to_line()}" for e in record.closed)
+    lines.extend(f"stuck {codeword_display(c)}" for c in record.stuck)
+    lines.append(f"end {number}\n")
+    if appended:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        return
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(state.to_text())
+        fh.write("\n".join(lines))
     os.replace(tmp, path)
 
 
 def stats(obj) -> list[tuple[int, int]]:
     """Per-level population: codewords of level >= l', for each l'.
 
-    Accepts a finished Certificate or a CheckpointState (whose still-open
-    codewords count alongside the closed entries).
+    Accepts a finished Certificate or a CheckpointState (whose open and
+    stuck codewords count alongside the closed entries).
     """
     if isinstance(obj, Certificate):
         levels = [e.level for e in obj.entries]
     elif isinstance(obj, CheckpointState):
         levels = [e.level for e in obj.closed]
-        levels.extend(len(c) - 1 for c in obj.open_codewords)
+        levels.extend(len(c) - 1 for c in [*obj.open_codewords, *obj.stuck])
     else:
         raise TypeError(f"stats wants a Certificate or CheckpointState, not {type(obj)}")
     top = max(levels, default=0)
@@ -194,14 +331,14 @@ class _KraftLedger:
 
 def _check_resumable(state: CheckpointState, path) -> None:
     """Refuse a checkpoint whose codewords do not form an exhaustive prefix
-    code, that leaves a level-0 codeword open, or whose closed entries would
-    not verify at its ratio and mode."""
-    words = [*state.open_codewords, *(e.codeword for e in state.closed)]
-    problems = code_violations(words)
+    code, that leaves a level-0 codeword open or stuck, or whose closed
+    entries would not verify at its ratio and mode."""
+    unclosed = [*state.open_codewords, *state.stuck]
+    problems = code_violations([*unclosed, *(e.codeword for e in state.closed)])
     problems.extend(
         Violation(codeword_display(c), None, None,
                   "open codeword of level 0 (growth needs level >= 1)")
-        for c in state.open_codewords if len(c) < 2)
+        for c in unclosed if len(c) < 2)
     for e in state.closed:
         problems.extend(entry_violations(e, state.alpha, state.mode))
     if problems:
@@ -270,8 +407,11 @@ def run(
     Returns a Certificate when every codeword closes, an Unclosed report
     listing the codewords stuck at the weight cap otherwise.  The result is
     a pure function of (alpha, mode, max_weight): resume points cannot
-    change a single byte of it.  The checkpoint, if any, is written after
-    every pass over the frontier.
+    change a single byte of it.  The checkpoint, if any, is written whole
+    once, from the frontier the run starts from and the entries it carries
+    over, and then one segment is appended after every pass over the
+    frontier.  Resumed, a codeword that was stuck is open again, so a
+    larger ``max_weight`` continues it.
 
     With ``stop_at_stuck`` the search runs depth first instead and its
     Unclosed report holds only the least stuck codeword, the first of the
@@ -297,7 +437,6 @@ def run(
 
     frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
-    stuck: list[tuple[int, ...]] = []
     kraft = _KraftLedger()
 
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -308,14 +447,22 @@ def run(
                 f"alpha={state.alpha} mode={state.mode}, refusing to resume "
                 f"at alpha={alpha} mode={mode}")
         _check_resumable(state, checkpoint_path)
-        frontier, closed = state.open_codewords, state.closed
+        frontier = sorted([*state.open_codewords, *state.stuck])
+        closed = state.closed
 
     for c in [*frontier, *(e.codeword for e in closed)]:
         kraft.add(len(c))
+    if checkpoint_path:
+        save_checkpoint(CheckpointState(alpha, mode, frontier, closed),
+                        checkpoint_path)
 
     memo = {} if cache is None else cache
     caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
+    stuck: list[tuple[int, ...]] = []
+    passes = 0
     while frontier:
+        passes += 1
+        closed_before, stuck_before = len(closed), len(stuck)
         deeper: list[tuple[int, ...]] = []
         for c in sorted(frontier):
             paths = _decide(c, memo, caps, alpha, mode)
@@ -334,7 +481,8 @@ def run(
         frontier = deeper
         if checkpoint_path:
             save_checkpoint(
-                CheckpointState(alpha, mode, frontier + stuck, closed),
+                CheckpointSegment(passes, closed[closed_before:],
+                                  stuck[stuck_before:]),
                 checkpoint_path)
 
     if stuck:

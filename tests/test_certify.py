@@ -29,9 +29,10 @@ from collatzcert.tree import walk_nodes
 # checkpoint record kind and format words, malformed fields and arbitrary
 # short strings; or arbitrary text.
 _WORDS = st.one_of(
-    st.sampled_from(["certificate", "checkpoint", "v1", "mode=plain",
+    st.sampled_from(["certificate", "checkpoint", "v1", "v2", "mode=plain",
                      "mode=strong", "alpha=1/3", "alpha=", "02", "12", "001",
-                     "1", "3", "01", "0x", "\u00b2", "#"]),
+                     "1", "3", "01", "0x", "\u00b2", "#", "end", "stuck",
+                     "0"]),
     st.text(max_size=3),
 )
 _TEXTS = st.one_of(
@@ -39,9 +40,11 @@ _TEXTS = st.one_of(
     st.builds(
         lambda header, lines: header + "".join(line + "\n" for line in lines),
         st.sampled_from(["", "certificate v1 mode=plain alpha=1/3\n",
-                         "checkpoint v1 mode=strong alpha=2/5\n"]),
+                         "checkpoint v1 mode=strong alpha=2/5\n",
+                         "checkpoint v2 mode=plain alpha=1/3\n"]),
         st.lists(st.builds(lambda kind, words: kind + " ".join(words),
-                           st.sampled_from(["", "open ", "closed "]),
+                           st.sampled_from(["", "open ", "closed ", "stuck ",
+                                            "end "]),
                            st.lists(_WORDS, max_size=6)),
                  max_size=6),
     ),
@@ -177,6 +180,11 @@ class TestFileFormat:
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
     @example("checkpoint v1 mode=plain alpha=1/3\nopen 0x\n")
+    @example("checkpoint v2 mode=plain alpha=1/3\nopen 01\nend 0\nclosed 01 1 2 01\n"
+             "end 1\nclosed 0")
+    @example("checkpoint v2 mode=plain alpha=1/3\nend 0\nstuck 01\nend 1\n")
+    @example("checkpoint v2 mode=plain alpha=1/3\nend 0\nend 2\n")
+    @example("checkpoint v2 mode=plain alpha=1/3\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 \u00b2 1 1\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 1 \u00b2 1\n")
     @example("certificate v1 mode=plain alpha=\u00b2/3\n")

@@ -229,6 +229,34 @@ class TestResumeFromBadCheckpoint:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("records,located", [
+        # 021 is a child of 21, which the first pass has yet to split
+        (["end 0", "closed 021 2 6 000101", "end 1"],
+         "line 9: closed codeword 021 is not open in pass 1"),
+        (["end 0", "closed 01 1 2 01", "end 1", "stuck 01", "end 2"],
+         "line 11: stuck codeword 01 is not open in pass 2"),
+        (["end 0", "closed 01 1 2 01", "closed 01 1 2 01", "end 1"],
+         "line 10: closed codeword 01 is not open in pass 1"),
+        (["end 0", "end 2"], "line 9: end marker '2' where end 1 is due"),
+        (["end 1"], "line 8: end marker '1' where end 0 is due"),
+        (["end 0", "open 01", "end 1"], "line 9: open record after end 0"),
+        (["open 01", "end 0"], "line 8: open codeword 01 listed twice"),
+        ([], "line 7: no end 0 marker"),
+    ])
+    def test_v2_exits_three_with_the_line(self, tmp_path, capsys, records,
+                                          located):
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v2 mode=plain alpha=1/3\n" + "".join(
+            f"{r}\n" for r in
+            ["open 01", "open 11", "open 21", "open 02", "open 12", "open 22",
+             *records]))
+        out = tmp_path / "found.cert"
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: checkpoint {cp}: {located}\n"
+        assert not out.exists()
+
+
 class TestMaxAlphaCommand:
     def test_level_four_row(self, capsys):
         assert main(["max-alpha", "--level", "4"]) == 0

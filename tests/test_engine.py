@@ -25,6 +25,27 @@ class TestUnclosed:
         assert best_ratio((1, 2, 2, 2), 9) == Fraction(2, 7)
 
 
+def _segments(tmp_path, alpha, weight, mode):
+    """The straight run's outcome and its checkpoint, cut into the text
+    each write added: segment 0 first, then one segment per pass."""
+    cp = tmp_path / "straight"
+    real = engine.save_checkpoint
+    sizes = []
+
+    def save(record, path):
+        real(record, path)
+        sizes.append(cp.stat().st_size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "save_checkpoint", save)
+        outcome = run(alpha, weight, mode, checkpoint_path=str(cp))
+    text = cp.read_text()
+    return outcome, [text[a:b] for a, b in zip([0, *sizes], sizes)]
+
+
+RESUMED_SEARCHES = [(Fraction(1, 3), 5, "strong"), (Fraction(5, 14), 6, "plain")]
+
+
 class TestCheckpoints:
     def test_interrupt_and_resume_match_the_straight_run(self, tmp_path,
                                                          run_interrupted):
@@ -35,14 +56,63 @@ class TestCheckpoints:
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == straight.to_text()
 
-    def test_round_trip_is_byte_identical(self, tmp_path, run_interrupted):
+    @pytest.mark.parametrize("alpha,weight,mode", RESUMED_SEARCHES)
+    def test_resume_after_every_pass(self, tmp_path, run_interrupted, alpha,
+                                     weight, mode):
+        # interrupted after segment 0, after each pass, and after the last
+        straight, segments = _segments(tmp_path, alpha, weight, mode)
         cp = tmp_path / "state"
-        run_interrupted(3, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
-        text = cp.read_text()
-        assert parse_checkpoint(text).to_text() == text
-        state = load_checkpoint(cp)
-        save_checkpoint(state, cp)
-        assert cp.read_text() == text
+        for k in range(1, len(segments) + 1):
+            cp.unlink(missing_ok=True)
+            run_interrupted(k, alpha, weight, mode, checkpoint_path=str(cp))
+            assert cp.read_text() == "".join(segments[:k])
+            resumed = run(alpha, weight, mode, checkpoint_path=str(cp))
+            assert resumed.to_text() == straight.to_text(), k
+
+    @pytest.mark.parametrize("alpha,weight,mode", RESUMED_SEARCHES)
+    def test_torn_tail_is_dropped(self, tmp_path, alpha, weight, mode):
+        # a pass torn mid-append: half a closed line with no newline,
+        # complete lines with no end marker, an end marker with no newline
+        straight, segments = _segments(tmp_path, alpha, weight, mode)
+        cp = tmp_path / "state"
+        for k in range(1, len(segments)):
+            kept = "".join(segments[:k])
+            lines = segments[k].splitlines(keepends=True)
+            assert lines[0].startswith("closed ") and len(lines) > 1
+            for tail in (lines[0][:len(lines[0]) // 2],
+                         "".join(lines[:-1]),
+                         "".join(lines)[:-1]):
+                assert kept + tail != "".join(segments[:k + 1])
+                cp.write_text(kept + tail)
+                state = load_checkpoint(cp)
+                assert state == parse_checkpoint(kept)
+                resumed = run(alpha, weight, mode, checkpoint_path=str(cp))
+                assert resumed.to_text() == straight.to_text(), (k, tail)
+
+    def test_checkpoint_is_at_most_twice_the_certificate(self, tmp_path):
+        for alpha, weight, mode in [*RESUMED_SEARCHES,
+                                    (Fraction(1, 3), 4, "plain")]:
+            cp = tmp_path / f"{mode}-{weight}"
+            cert = run(alpha, weight, mode, checkpoint_path=str(cp))
+            assert isinstance(cert, Certificate)
+            assert cp.stat().st_size <= 2 * len(cert.to_text().encode())
+
+    def test_round_trip_is_byte_identical(self, tmp_path, run_interrupted):
+        # a state loaded, saved fresh as segment 0 and loaded again is the
+        # same state, and saving it again writes the same bytes
+        cp, fresh = tmp_path / "state", tmp_path / "fresh"
+        for k, weight in [(3, 4), (4, 3)]:
+            cp.unlink(missing_ok=True)
+            run_interrupted(k, Fraction(1, 3), weight, "plain",
+                            checkpoint_path=str(cp))
+            state = load_checkpoint(cp)
+            save_checkpoint(state, fresh)
+            text = fresh.read_text()
+            assert load_checkpoint(fresh) == state
+            save_checkpoint(load_checkpoint(fresh), fresh)
+            assert fresh.read_text() == text
+        # the second state is a finished search that left 2221 stuck
+        assert (state.open_codewords, state.stuck) == ([], [(1, 2, 2, 2)])
 
     def test_mismatched_resume_is_refused(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
@@ -52,23 +122,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="refusing"):
             run(Fraction(1, 3), 4, "strong", checkpoint_path=str(cp))
 
-    def test_each_pass_writes_one_checkpoint(self, tmp_path, monkeypatch):
-        # one text per pass over the frontier, the closed code written once
-        texts = []
-        real = engine.save_checkpoint
-
-        def save(state, path):
-            texts.append(state.to_text())
-            real(state, path)
-
-        monkeypatch.setattr(engine, "save_checkpoint", save)
-        run(Fraction(1, 3), 5, "strong", checkpoint_path=str(tmp_path / "s"))
-        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
-            "9f00af629f3023d2efe17ee36280d3054726a5ad7bd3ace4fcfcb7ad9758c1fb",
-            "6a3c2902c46f0c6d5098d45ff0cc7970117104416119063b05d2cf76b53ef51e",
-            "9652997994a4ae5a7d285a935f12b038a4af3527aadce1afdc2d76b92fa76e39",
-            "a7f60a771ecd17d0b12c7219e88bb61e0ee7aae37584bf184c7a301954b47580",
-            "c43370b5d772532554f982f50dac72eb98dd5712f00e71a1678362d76ee605d1",
+    def test_each_pass_writes_one_checkpoint(self, tmp_path):
+        # segment 0 holds the six roots, then each pass appends only what
+        # it decided, so every closed entry is written once
+        cert, segments = _segments(tmp_path, Fraction(1, 3), 5, "strong")
+        assert segments[0].startswith("checkpoint v2 mode=strong alpha=1/3\n")
+        assert [s.splitlines()[-1] for s in segments] == [
+            f"end {k}" for k in range(len(segments))]
+        assert sorted(line for s in segments for line in s.splitlines()
+                      if line.startswith("closed ")) == sorted(
+            f"closed {e.to_line()}" for e in cert.entries)
+        assert [hashlib.sha256(s.encode()).hexdigest() for s in segments] == [
+            "08f133086831d06d708e26ec578b35e517f56a9268e1ddcf1b6178bcdcf144a3",
+            "01d16049b3f09408ed2de0153f2de176a4bbfd97ebb0377932d980b73bf8941a",
+            "78d44c959855dc57f6acf2594bfb088e73d3f9817adc6b3d52225b3a0e3cf5c7",
+            "2d1cd2aa94f949b71b108a5415878e4c6bdc73e0561d84e7b9aa43f45a766a44",
+            "e6074f5103667d46a23f5f523cf6daabdd65813da3d6186490f63b7d1f02dbf5",
+            "a57c6eecc0482d21876c30dac996587bc3b16455f6278f2ef0eedd01cc5ca5aa",
         ]
 
     def test_unclosed_checkpoint_resumes_at_a_larger_weight(
@@ -76,10 +146,35 @@ class TestCheckpoints:
         cp = tmp_path / "state"
         assert isinstance(
             run(Fraction(1, 3), 3, "plain", checkpoint_path=str(cp)), Unclosed)
-        # the stuck codeword is kept as open, so a larger budget splits it
-        assert "open 2221\n" in cp.read_text()
+        # the stuck codeword is open again on resume, so a larger budget
+        # splits it
+        assert "stuck 2221\n" in cp.read_text()
+        state = load_checkpoint(cp)
+        assert state.open_codewords == [] and state.counters()[3]["stuck"] == 1
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == reference_plain.to_text()
+
+    def test_v1_checkpoint_with_closed_entries_resumes(self, tmp_path,
+                                                       reference_plain):
+        # the state after the first pass, as the v1 format wrote it
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n"
+                      "open 021\nopen 121\nopen 221\n" + "".join(
+                          f"closed {e.to_line()}\n" for e in reference_plain.entries
+                          if e.level == 1))
+        resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
+        assert resumed.to_text() == reference_plain.to_text()
+        assert cp.read_text().startswith("checkpoint v2 ")
+
+    def test_split_past_the_codeword_limit_is_refused(self):
+        # the derived frontier obeys the limit an open line does
+        longest = "1" * engine.MAX_CODEWORD_LEN
+        text = f"checkpoint v2 mode=plain alpha=1/3\nopen {longest}\nend 0\n"
+        assert parse_checkpoint(text).open_codewords == [
+            (1,) * engine.MAX_CODEWORD_LEN]
+        with pytest.raises(ValueError, match="line 4: pass 1 splits .* into "
+                           "codewords longer than 80 digits"):
+            parse_checkpoint(text + "end 1\n")
 
     def test_mixed_level_checkpoint_resumes(self, tmp_path, reference_plain):
         # five level-1 codewords next to the three children of 21, the one
@@ -112,10 +207,10 @@ class TestCheckpoints:
         run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         state = load_checkpoint(cp)
         counters = state.counters()
-        assert counters[1] == {"opened": 6, "closed": 5, "split": 1}
-        assert counters[2] == {"opened": 3, "closed": 2, "split": 1}
-        assert counters[3] == {"opened": 3, "closed": 2, "split": 1}
-        assert counters[4] == {"opened": 3, "closed": 3, "split": 0}
+        assert counters[1] == {"opened": 6, "closed": 5, "stuck": 0, "split": 1}
+        assert counters[2] == {"opened": 3, "closed": 2, "stuck": 0, "split": 1}
+        assert counters[3] == {"opened": 3, "closed": 2, "stuck": 0, "split": 1}
+        assert counters[4] == {"opened": 3, "closed": 3, "stuck": 0, "split": 0}
 
 
 class _Killed(Exception):
@@ -147,7 +242,7 @@ class TestSiblingGrowth:
     def test_run_killed_mid_pass_resumes_byte_identical(self, tmp_path,
                                                         monkeypatch):
         # killed between two sibling groups of the third pass, the run
-        # resumes from the second pass's checkpoint
+        # resumes from the second pass's segment
         straight = run(Fraction(5, 14), 6, "plain")
         cp = tmp_path / "state"
         real_grow, real_save = engine.grow_children, engine.save_checkpoint
@@ -158,7 +253,7 @@ class TestSiblingGrowth:
             grows_after.append(0)
 
         def grow(*args):
-            if len(grows_after) == 2 and grows_after[-1] == 2:
+            if len(grows_after) == 3 and grows_after[-1] == 2:
                 raise _Killed
             if grows_after:
                 grows_after[-1] += 1
@@ -313,7 +408,6 @@ class TestInvariants:
 
     def test_splits_are_one_digit_extensions(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
-        run_interrupted(1, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
+        run_interrupted(2, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         state = load_checkpoint(cp)
-        lengths = {len(c) for c in state.open_codewords}
-        assert lengths <= {2, 3}
+        assert {len(c) for c in state.open_codewords} == {3}
