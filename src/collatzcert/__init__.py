@@ -20,7 +20,6 @@ from .certify import (
     witnesses,
 )
 from .engine import (
-    CheckpointSegment,
     CheckpointState,
     load_checkpoint,
     run,

@@ -259,6 +259,16 @@ def verify(cert: Certificate) -> list[Violation]:
     return out
 
 
+def decode_text(data: bytes) -> str:
+    """The text of a file's bytes; bytes that are not UTF-8 are an error
+    located at their line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not UTF-8 text") from None
+
+
 def whole_lines(text: str) -> list[str]:
     """The lines of a file that must end in a newline, without their
     newlines; a missing one is an error located at the last line."""
@@ -344,8 +354,8 @@ def parse_entry(line: str) -> CertificateEntry:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    with open(path, "rb") as fh:
+        return parse_certificate(decode_text(fh.read()))
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -363,12 +373,13 @@ def search(
 ) -> SearchOutcome:
     """Greedy exhaustive search for a certificate at the given ratio.
 
-    Starts from the six two-digit codewords and tests each open codeword's
-    tree, closing it with its path(s) or splitting it into its three
-    one-digit extensions, until the code closes or a split would exceed
-    max_weight.  With ``stop_at_stuck`` it stops at the first codeword
-    stuck there and reports only that one.  Delegates scheduling, and the
-    argument checks, to the engine.
+    Starts from the six two-digit codewords and, depth first in canonical
+    order, tests each open codeword's tree, closing it with its path(s) or
+    splitting it into its three one-digit extensions, until the code closes
+    or a split would exceed max_weight.  With ``stop_at_stuck`` it stops at
+    the first codeword stuck there, the least one, and reports only that
+    one.  Delegates scheduling, the checkpoint and the argument checks to
+    the engine.
     """
     from . import engine
 
@@ -404,9 +415,10 @@ class SweepState:
     ratio a search at level l above ρ compares alpha with is a path ratio
     of depth at most that cap, so every test in between decides exactly as
     this one does.
-    Only whether a search closes matters here, so each runs depth first
-    and stops at its first stuck codeword (``stop_at_stuck``): a level's
-    failed search decides no codeword after it.
+    Only whether a search closes matters here, so each stops at its first
+    stuck codeword (``stop_at_stuck``), the least one, since every search
+    runs depth first in canonical order: a level's failed search decides
+    no codeword after it.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds one growth
     record for each group of siblings, keyed by their parent.

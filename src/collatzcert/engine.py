@@ -1,36 +1,30 @@
-"""Deterministic, checkpointable execution of the open-codeword frontier.
+"""Deterministic, checkpointable execution of the certificate search.
 
-One in-process loop owns the frontier, a list of open codewords.  Each
-pass takes them in canonical codeword order, grows each one's tree within
-its own level's depth cap (or takes it from the growth memo) and closes,
-leaves stuck or splits it; the splits form the next pass's frontier.
-Siblings sit together in that order, so the trees of a group of them are
-grown in one lookup of their parent's tree (three table reads up to level
-9, one walk above it), and the memo holds that lookup's one record under
-the parent.  The close decision reads a codeword's leaf keys from it and
-renders the ones it keeps as paths.  Splitting a codeword into its three
-one-digit extensions preserves the prefix-code property, which is asserted
-as an exact Kraft identity after every pass.
+One in-process loop runs the search depth first, in canonical codeword
+order: it keeps the open codewords as a stack with the least on top, and
+closes, leaves stuck or splits each one in turn, each within its own
+level's depth cap.  A split codeword's three children go on top, so a
+codeword and everything below it are decided before its next sibling,
+and the closed entries come in canonical order.  The trees of a group of
+siblings are grown in one lookup of their parent's tree (three table
+reads up to level 9, one walk above it), and the memo holds that
+lookup's one record under the parent; the close decision reads a
+codeword's leaf keys from it and renders the ones it keeps as paths.
+Without a cache to share, a group's record is dropped as soon as its
+child ending in 2 is decided, so the memo holds the groups in hand, and
+at most one record per open codeword of a resumed group that lacks that
+child.  Splitting a codeword into its three one-digit extensions
+preserves the prefix-code property, which is asserted as an exact Kraft
+identity once per search.
 
-The sweep only asks whether a search closes, so its searches run depth
-first instead, in canonical order, and stop at the first codeword stuck at
-the weight cap: a breadth-first search meets its stuck codewords only in
-its last pass.  Both loops decide a codeword by the same step, and a
-depth-first certificate is asserted exhaustive by the same Kraft ledger.
-Without a cache to share, both keep the memo by one rule: a group's record
-is dropped as soon as its child ending in 2 is decided.  So the memo holds
-the groups in hand, and at most one record per open codeword of a resumed
-group that lacks that child.
-
-A breadth-first run with a checkpoint writes the file whole once, as
-segment 0: the frontier it starts from and the entries it carries over.
-After each pass it appends one segment, the entries that pass closed and
-the codewords it left stuck, ended by the pass's ``end N`` marker.  A pass
-decides its whole frontier, so the next one is derived, not written: the
-children of every codeword the pass neither closed nor left stuck.  Each
-closed entry is written once, and a checkpoint is about one certificate's
-worth of text.  An append cut short leaves lines after the last marker,
-which the loader drops.
+A run with a checkpoint writes the file whole once, as segment 0: the
+entries it carries over and the codewords it starts from.  Then it
+appends its decisions, ``closed`` entries and ``stuck`` codewords, in the
+order it makes them.  Depth first, every decision is the least open
+codeword or a descendant of it, so the loader derives the open codewords
+from the decisions alone, and any prefix of the file that ends at a
+newline is a valid state.  Each closed entry is written once, and a
+checkpoint is about one certificate's worth of text.
 """
 
 from __future__ import annotations
@@ -49,11 +43,11 @@ from .certify import (
     Unclosed,
     Violation,
     code_violations,
+    decode_text,
     depth_cap,
     entry_violations,
     parse_entry,
     parse_records,
-    whole_lines,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
 from .tree import find_companion, grow_children, key_path
@@ -99,54 +93,30 @@ class CheckpointState:
         return out
 
 
-@dataclass
-class CheckpointSegment:
-    """What one pass over the frontier decided: the entries it closed and
-    the codewords it left stuck, each in canonical order."""
+class _DecisionLog:
+    """The records of a v3 checkpoint, read in order.
 
-    number: int
-    closed: list[CertificateEntry]
-    stuck: list[tuple[int, ...]]
-
-
-def _parse_v1_record(line: str):
-    kind, _, rest = line.partition(" ")
-    if kind == "open":
-        return codeword_from_display(rest.strip())
-    if kind == "closed":
-        return parse_entry(rest.strip())
-    raise ValueError(f"unknown record {kind!r}")
-
-
-class _PassReader:
-    """The records of a v2 checkpoint, read in order.
-
-    Segment 0 lists the frontier a run starts from as ``open`` lines.  Each
-    later segment is one pass, which decides its whole frontier: the
-    codewords it neither closes nor marks stuck are split, so the next
-    pass's frontier is derived from them, and only a codeword of the
-    current frontier may be closed or marked stuck.
+    ``closed`` and ``stuck`` lines before the first ``open`` line are
+    carried over; after it each one is a decision.  Depth first, every
+    decision is the least open codeword or a descendant of it: a codeword
+    above the decided one was split, and its later children are open.  So
+    the open codewords are kept as the search keeps them, a stack with the
+    least on top, and a decision anywhere else is refused.
     """
 
     def __init__(self):
-        self.number: int | None = None      # the last end marker read
-        self.frontier: set[tuple[int, ...]] = set()
+        self.todo: list[tuple[int, ...]] = []     # the open codewords
+        self.deciding = False
         self.closed: list[CertificateEntry] = []
         self.stuck: list[tuple[int, ...]] = []
 
     def __call__(self, line: str) -> None:
         kind, _, rest = line.partition(" ")
         rest = rest.strip()
-        if kind == "end":
-            self._end(rest)
-            return
         if kind == "open":
-            if self.number is not None:
-                raise ValueError("open record after end 0")
-            codeword = codeword_from_display(rest)
-            if codeword in self.frontier:
-                raise ValueError(f"open codeword {rest} listed twice")
-            self.frontier.add(codeword)
+            if self.deciding:
+                raise ValueError("open record after a decision")
+            self.todo.append(codeword_from_display(rest))
             return
         if kind == "closed":
             entry = parse_entry(rest)
@@ -155,113 +125,85 @@ class _PassReader:
             codeword = codeword_from_display(rest)
         else:
             raise ValueError(f"unknown record {kind!r}")
-        if self.number is not None:
-            if codeword not in self.frontier:
-                raise ValueError(
-                    f"{kind} codeword {codeword_display(codeword)} is not "
-                    f"open in pass {self.number + 1}")
-            self.frontier.remove(codeword)
+        if self.todo and not self.deciding:
+            self.todo.sort(reverse=True)
+            self.deciding = True
+        if self.deciding:
+            self._decide(kind, codeword)
         if kind == "closed":
             self.closed.append(entry)
         else:
             self.stuck.append(codeword)
 
-    def _end(self, rest: str) -> None:
-        due = 0 if self.number is None else self.number + 1
-        if rest != str(due):
-            raise ValueError(f"end marker {rest!r} where end {due} is due")
-        if due:
-            for c in self.frontier:
-                if len(c) >= MAX_CODEWORD_LEN:
-                    raise ValueError(
-                        f"pass {due} splits {codeword_display(c)} into "
-                        f"codewords longer than {MAX_CODEWORD_LEN} digits")
-            self.frontier = {c + (d,) for c in self.frontier for d in (0, 1, 2)}
-        self.number = due
+    def _decide(self, kind: str, codeword: tuple[int, ...]) -> None:
+        todo = self.todo
+        while True:
+            if not todo:
+                raise ValueError(f"{kind} codeword {codeword_display(codeword)} "
+                                 f"where no codeword is open")
+            least = todo[-1]
+            if codeword[:len(least)] != least:
+                raise ValueError(
+                    f"{kind} codeword {codeword_display(codeword)} is not at "
+                    f"or below the least open codeword {codeword_display(least)}")
+            todo.pop()
+            if codeword == least:
+                return
+            todo.extend(least + (d,) for d in (2, 1, 0))
 
-
-def _complete_passes(lines: list[str]) -> list[str]:
-    """The lines of a text split at its newlines, up to its last end marker:
-    what follows, the last line (which has no newline) among it, is a pass
-    torn by an interrupted append, and is dropped."""
-    for i in range(len(lines) - 2, -1, -1):
-        if lines[i].strip().partition(" ")[0] == "end":
-            return lines[:i + 1]
-    raise ValueError(f"line {max(len(lines) - 1, 1)}: no end 0 marker")
-
-
-def _header_version(lines: list[str]) -> str | None:
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            parts = line.split()
-            return parts[1] if parts[:1] == ["checkpoint"] and len(parts) > 1 else None
-    return None
 
 
 def parse_checkpoint(text: str) -> CheckpointState:
-    """Parse either checkpoint format; errors carry line numbers.
+    """Parse a v3 checkpoint; errors carry line numbers.
 
-    A v1 file lists every open codeword (stuck ones among them) and every
-    closed entry.  A v2 file is segment 0, written whole, then one segment
-    per pass, appended, each ended by its ``end N`` marker; lines after the
-    last marker are dropped, and the open codewords are the frontier
-    derived after it, in canonical order.  Closed entries are listed in
-    the order the file lists them.
+    A last line with no newline is a torn append, and is dropped: every
+    line before it is whole, and any run of whole lines is a valid state.
+    The open codewords are those left open after the last decision, in
+    canonical order; closed entries and stuck codewords are listed in the
+    order the file lists them.
     """
-    lines = text.split("\n")
-    if _header_version(lines) != "v2":
-        mode, alpha, records = parse_records(whole_lines(text), "checkpoint",
-                                             _parse_v1_record)
-        return CheckpointState(
-            alpha=alpha, mode=mode,
-            open_codewords=[r for r in records
-                            if not isinstance(r, CertificateEntry)],
-            closed=[r for r in records if isinstance(r, CertificateEntry)])
-    reader = _PassReader()
-    mode, alpha, _ = parse_records(_complete_passes(lines), "checkpoint",
-                                   reader, "v2")
+    log = _DecisionLog()
+    mode, alpha, _ = parse_records(text.split("\n")[:-1], "checkpoint", log,
+                                   "v3")
     return CheckpointState(alpha=alpha, mode=mode,
-                           open_codewords=sorted(reader.frontier),
-                           closed=reader.closed, stuck=reader.stuck)
+                           open_codewords=sorted(log.todo),
+                           closed=log.closed, stuck=log.stuck)
 
 
 def load_checkpoint(path) -> CheckpointState:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return parse_checkpoint(text)
+        return parse_checkpoint(decode_text(data))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
 
 
-def save_checkpoint(record: CheckpointState | CheckpointSegment, path) -> None:
-    """Write a search's checkpoint in the v2 format.
+def save_checkpoint(record: CheckpointState | list, path) -> None:
+    """Write a search's checkpoint in the v3 format.
 
     A CheckpointState is written whole, as segment 0, to a file beside
-    ``path`` that is then renamed over it; a CheckpointSegment, one pass,
-    is appended, closed entries first, then the stuck codewords, then its
-    end marker.
+    ``path`` that is then renamed over it: its closed entries, its stuck
+    codewords, then its open codewords in canonical order.  A list of
+    decisions, closed entries and stuck codewords in the order the search
+    made them, is appended.
     """
-    appended = isinstance(record, CheckpointSegment)
-    if appended:
-        lines, number = [], record.number
-    else:
-        alpha = record.alpha
-        lines = [f"checkpoint v2 mode={record.mode} "
-                 f"alpha={alpha.numerator}/{alpha.denominator}"]
-        lines.extend(f"open {codeword_display(c)}" for c in record.open_codewords)
-        number = 0
+    if not isinstance(record, CheckpointState):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("".join(
+                f"closed {d.to_line()}\n" if isinstance(d, CertificateEntry)
+                else f"stuck {codeword_display(d)}\n" for d in record))
+        return
+    alpha = record.alpha
+    lines = [f"checkpoint v3 mode={record.mode} "
+             f"alpha={alpha.numerator}/{alpha.denominator}"]
     lines.extend(f"closed {e.to_line()}" for e in record.closed)
     lines.extend(f"stuck {codeword_display(c)}" for c in record.stuck)
-    lines.append(f"end {number}\n")
-    if appended:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-        return
+    lines.extend(f"open {codeword_display(c)}"
+                 for c in sorted(record.open_codewords))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
@@ -310,7 +252,7 @@ def _close_decision(
 
 
 class _KraftLedger:
-    """Exact running Kraft sum over open + closed + the reserved word (0)."""
+    """Exact Kraft sum over a search's codewords and the reserved word (0)."""
 
     def __init__(self):
         # scale everything by 3^(MAX_CODEWORD_LEN + 1) to stay in integers
@@ -319,9 +261,6 @@ class _KraftLedger:
 
     def add(self, length: int) -> None:
         self.total += self.scale // POW3[length]
-
-    def remove(self, length: int) -> None:
-        self.total -= self.scale // POW3[length]
 
     def assert_exhaustive(self) -> None:
         if self.total != self.scale:
@@ -362,38 +301,6 @@ def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
     return _close_decision(c, keys, cap, alpha, mode)
 
 
-def _depth_first(alpha: Fraction, max_weight: int, mode: str,
-                 cache: dict | None) -> SearchOutcome:
-    """The search depth first, in canonical codeword order, which stops at
-    the first stuck codeword.
-
-    A codeword is decided, and split if it must be, before its next
-    sibling, so the closed entries come in canonical order and the first
-    codeword stuck at the weight cap is the least one.
-    """
-    memo = {} if cache is None else cache
-    caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
-    closed: list[CertificateEntry] = []
-    todo = list(reversed(INITIAL_CODEWORDS))
-    while todo:
-        c = todo.pop()
-        paths = _decide(c, memo, caps, alpha, mode)
-        if cache is None and c[-1] == 2:
-            del memo[c[:-1]]
-        if paths is not None:
-            closed.append(CertificateEntry(codeword=c, paths=paths))
-        elif len(c) - 1 >= max_weight:
-            return Unclosed(alpha=alpha, mode=mode, max_weight=max_weight,
-                            open_codewords=[c])
-        else:
-            todo.extend(c + (d,) for d in (2, 1, 0))
-    kraft = _KraftLedger()
-    for e in closed:
-        kraft.add(len(e.codeword))
-    kraft.assert_exhaustive()
-    return Certificate(alpha=alpha, mode=mode, entries=closed)
-
-
 def run(
     alpha: Fraction,
     max_weight: int,
@@ -402,21 +309,21 @@ def run(
     cache: dict | None = None,
     stop_at_stuck: bool = False,
 ) -> SearchOutcome:
-    """Run the certificate search to completion.
+    """Run the certificate search, depth first in canonical codeword order.
 
-    Returns a Certificate when every codeword closes, an Unclosed report
-    listing the codewords stuck at the weight cap otherwise.  The result is
-    a pure function of (alpha, mode, max_weight): resume points cannot
-    change a single byte of it.  The checkpoint, if any, is written whole
-    once, from the frontier the run starts from and the entries it carries
-    over, and then one segment is appended after every pass over the
-    frontier.  Resumed, a codeword that was stuck is open again, so a
-    larger ``max_weight`` continues it.
+    A codeword is decided, and split if it must be, before its next
+    sibling.  Returns a Certificate when every codeword closes, and an
+    Unclosed report listing the codewords stuck at the weight cap, sorted,
+    otherwise; with ``stop_at_stuck`` the search returns at the first
+    stuck codeword, the least one, and reports only that one.  The result
+    is a pure function of (alpha, mode, max_weight, stop_at_stuck): resume
+    points cannot change a single byte of it.
 
-    With ``stop_at_stuck`` the search runs depth first instead and its
-    Unclosed report holds only the least stuck codeword, the first of the
-    full report; a certificate is the same.  It takes no checkpoint, since
-    it makes no passes.
+    The checkpoint, if any, is written whole once, from the codewords the
+    run starts from and the entries it carries over; then the decisions
+    are appended in the order they are made, just before each codeword of
+    level 2 or less is decided and once at the end.  Resumed, a codeword
+    that was stuck is open again, so a larger ``max_weight`` continues it.
 
     Growth records are memoised by parent, one for each group of siblings:
     in ``cache`` when the caller passes one, to share them across searches,
@@ -429,16 +336,9 @@ def run(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 1 <= max_weight <= MAX_CODEWORD_LEN:
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
-    if stop_at_stuck:
-        if checkpoint_path:
-            raise ValueError("a search that stops at the first stuck "
-                             "codeword takes no checkpoint")
-        return _depth_first(alpha, max_weight, mode, cache)
 
-    frontier: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
+    start: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
-    kraft = _KraftLedger()
-
     if checkpoint_path and os.path.exists(checkpoint_path):
         state = load_checkpoint(checkpoint_path)
         if state.alpha != alpha or state.mode != mode:
@@ -447,49 +347,47 @@ def run(
                 f"alpha={state.alpha} mode={state.mode}, refusing to resume "
                 f"at alpha={alpha} mode={mode}")
         _check_resumable(state, checkpoint_path)
-        frontier = sorted([*state.open_codewords, *state.stuck])
+        start = sorted([*state.open_codewords, *state.stuck])
         closed = state.closed
-
-    for c in [*frontier, *(e.codeword for e in closed)]:
-        kraft.add(len(c))
+    log = None
     if checkpoint_path:
-        save_checkpoint(CheckpointState(alpha, mode, frontier, closed),
+        save_checkpoint(CheckpointState(alpha, mode, start, closed),
                         checkpoint_path)
+        log = []
 
     memo = {} if cache is None else cache
     caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
     stuck: list[tuple[int, ...]] = []
-    passes = 0
-    while frontier:
-        passes += 1
-        closed_before, stuck_before = len(closed), len(stuck)
-        deeper: list[tuple[int, ...]] = []
-        for c in sorted(frontier):
-            paths = _decide(c, memo, caps, alpha, mode)
-            if cache is None and c[-1] == 2:
-                del memo[c[:-1]]
-            if paths is not None:
-                closed.append(CertificateEntry(codeword=c, paths=paths))
-            elif len(c) - 1 >= max_weight:
-                stuck.append(c)
-            else:
-                kraft.remove(len(c))
-                for d in (0, 1, 2):
-                    deeper.append(c + (d,))
-                    kraft.add(len(c) + 1)
-        kraft.assert_exhaustive()
-        frontier = deeper
-        if checkpoint_path:
-            save_checkpoint(
-                CheckpointSegment(passes, closed[closed_before:],
-                                  stuck[stuck_before:]),
-                checkpoint_path)
+    todo = start[::-1]
+    while todo:
+        c = todo.pop()
+        if log and len(c) <= 3:
+            save_checkpoint(log, checkpoint_path)
+            log = []
+        paths = _decide(c, memo, caps, alpha, mode)
+        if cache is None and c[-1] == 2:
+            del memo[c[:-1]]
+        if paths is not None:
+            decision = CertificateEntry(codeword=c, paths=paths)
+            closed.append(decision)
+        elif len(c) - 1 >= max_weight:
+            decision = c
+            stuck.append(c)
+        else:
+            todo.extend(c + (d,) for d in (2, 1, 0))
+            continue
+        if log is not None:
+            log.append(decision)
+        if stuck and stop_at_stuck:
+            break
+    if log:
+        save_checkpoint(log, checkpoint_path)
 
+    kraft = _KraftLedger()
+    for c in [*todo, *stuck, *(e.codeword for e in closed)]:
+        kraft.add(len(c))
+    kraft.assert_exhaustive()
     if stuck:
-        return Unclosed(
-            alpha=alpha,
-            mode=mode,
-            max_weight=max_weight,
-            open_codewords=sorted(stuck),
-        )
+        return Unclosed(alpha=alpha, mode=mode, max_weight=max_weight,
+                        open_codewords=sorted(stuck))
     return Certificate(alpha=alpha, mode=mode, entries=closed).sorted_canonically()

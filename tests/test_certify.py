@@ -29,7 +29,7 @@ from collatzcert.tree import walk_nodes
 # checkpoint record kind and format words, malformed fields and arbitrary
 # short strings; or arbitrary text.
 _WORDS = st.one_of(
-    st.sampled_from(["certificate", "checkpoint", "v1", "v2", "mode=plain",
+    st.sampled_from(["certificate", "checkpoint", "v1", "v2", "v3", "mode=plain",
                      "mode=strong", "alpha=1/3", "alpha=", "02", "12", "001",
                      "1", "3", "01", "0x", "\u00b2", "#", "end", "stuck",
                      "0"]),
@@ -41,7 +41,8 @@ _TEXTS = st.one_of(
         lambda header, lines: header + "".join(line + "\n" for line in lines),
         st.sampled_from(["", "certificate v1 mode=plain alpha=1/3\n",
                          "checkpoint v1 mode=strong alpha=2/5\n",
-                         "checkpoint v2 mode=plain alpha=1/3\n"]),
+                         "checkpoint v2 mode=plain alpha=1/3\n",
+                         "checkpoint v3 mode=plain alpha=1/3\n"]),
         st.lists(st.builds(lambda kind, words: kind + " ".join(words),
                            st.sampled_from(["", "open ", "closed ", "stuck ",
                                             "end "]),
@@ -180,11 +181,13 @@ class TestFileFormat:
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
     @example("checkpoint v1 mode=plain alpha=1/3\nopen 0x\n")
-    @example("checkpoint v2 mode=plain alpha=1/3\nopen 01\nend 0\nclosed 01 1 2 01\n"
-             "end 1\nclosed 0")
-    @example("checkpoint v2 mode=plain alpha=1/3\nend 0\nstuck 01\nend 1\n")
-    @example("checkpoint v2 mode=plain alpha=1/3\nend 0\nend 2\n")
-    @example("checkpoint v2 mode=plain alpha=1/3\n")
+    @example("checkpoint v2 mode=plain alpha=1/3\nopen 01\nend 0\n")
+    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nclosed 01 1 2 01\n"
+             "closed 0")
+    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 001\nstuck 21\n")
+    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 01\nstuck 01\n")
+    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 01\nopen 11\n")
+    @example("checkpoint v3 mode=plain alpha=1/3\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 \u00b2 1 1\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 1 \u00b2 1\n")
     @example("certificate v1 mode=plain alpha=\u00b2/3\n")

@@ -79,6 +79,22 @@ def test_unparseable_certificate_is_a_parse_error(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["witnesses", "--anchor", "41", "--count", "3", "--cert"],
+    ["stats", "--cert"],
+])
+def test_certificate_that_is_not_utf8_is_a_located_parse_error(
+        tmp_path, capsys, argv):
+    path = tmp_path / "junk.cert"
+    path.write_bytes(reference_plain_text().encode().replace(
+        b"\n12 1 3 001", b"\n12 1 3 0\xff1"))
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: line 12: not UTF-8 text\n"
+    assert captured.out == ""
+
+
 class TestSearchCommand:
     def test_round_trip_with_verify(self, tmp_path, capsys):
         out = str(tmp_path / "found.cert")
@@ -204,9 +220,9 @@ class TestResumeFromBadCheckpoint:
     @pytest.mark.parametrize("records,reason", [
         # Kraft sum 1/3 + 2/9: classes 02, 12, 21, 22 are missing
         (["open 01", "open 11"], "Kraft sum 2/9 + 1/3 = 5/9 != 1"),
-        # the closed entry's path has ones-ratio 0 < 1/3
-        (["open 01", "open 11", "open 12", "open 21", "open 22",
-          "closed 02 1 1 0"], "entry 02, path 1: ones-ratio 0/1"),
+        # the carried-over entry's path has ones-ratio 0 < 1/3
+        (["closed 02 1 1 0", "open 01", "open 11", "open 12", "open 21",
+          "open 22"], "entry 02, path 1: ones-ratio 0/1"),
         # exhaustive by Kraft sum, but 01 is listed twice and 02 not at all
         (["open 01", "open 01", "open 11", "open 12", "open 21", "open 22"],
          "entry 01: duplicate codeword"),
@@ -218,7 +234,7 @@ class TestResumeFromBadCheckpoint:
     def test_exits_three_without_writing(self, tmp_path, capsys, records,
                                          reason):
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n"
+        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n"
                       + "".join(r + "\n" for r in records))
         out = tmp_path / "found.cert"
         assert main(["search", "--alpha", "1/3", "--max-weight", "4",
@@ -230,23 +246,25 @@ class TestResumeFromBadCheckpoint:
 
 
     @pytest.mark.parametrize("records,located", [
-        # 021 is a child of 21, which the first pass has yet to split
-        (["end 0", "closed 021 2 6 000101", "end 1"],
-         "line 9: closed codeword 021 is not open in pass 1"),
-        (["end 0", "closed 01 1 2 01", "end 1", "stuck 01", "end 2"],
-         "line 11: stuck codeword 01 is not open in pass 2"),
-        (["end 0", "closed 01 1 2 01", "closed 01 1 2 01", "end 1"],
-         "line 10: closed codeword 01 is not open in pass 1"),
-        (["end 0", "end 2"], "line 9: end marker '2' where end 1 is due"),
-        (["end 1"], "line 8: end marker '1' where end 0 is due"),
-        (["end 0", "open 01", "end 1"], "line 9: open record after end 0"),
-        (["open 01", "end 0"], "line 8: open codeword 01 listed twice"),
-        ([], "line 7: no end 0 marker"),
+        # 021 is a child of 21, and the least open codeword is 01
+        (["closed 021 2 6 000101"],
+         "line 8: closed codeword 021 is not at or below the least open "
+         "codeword 01"),
+        # splitting 01 opens 001, 101 and 201, and 001 is the least
+        (["stuck 101"],
+         "line 8: stuck codeword 101 is not at or below the least open "
+         "codeword 001"),
+        (["closed 01 1 2 01", "closed 01 1 2 01"],
+         "line 9: closed codeword 01 is not at or below the least open "
+         "codeword 11"),
+        (["closed 01 1 2 01", "open 11"], "line 9: open record after a decision"),
+        ([*(f"stuck {w}" for w in ("01", "11", "21", "02", "12", "22")),
+          "stuck 22"], "line 14: stuck codeword 22 where no codeword is open"),
     ])
-    def test_v2_exits_three_with_the_line(self, tmp_path, capsys, records,
+    def test_v3_exits_three_with_the_line(self, tmp_path, capsys, records,
                                           located):
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v2 mode=plain alpha=1/3\n" + "".join(
+        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
             f"{r}\n" for r in
             ["open 01", "open 11", "open 21", "open 02", "open 12", "open 22",
              *records]))
@@ -255,6 +273,29 @@ class TestResumeFromBadCheckpoint:
                      "--checkpoint", str(cp), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: checkpoint {cp}: {located}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_older_versions_are_refused_at_line_one(self, tmp_path, capsys,
+                                                    version):
+        # a search's output is a pure function of its inputs, so a file of
+        # an older version is deleted and the search run again
+        header = f"checkpoint {version} mode=plain alpha=1/3"
+        cp = tmp_path / "state"
+        cp.write_text(f"{header}\nopen 01\nopen 11\nopen 21\nopen 02\n"
+                      "open 12\nopen 22\nend 0\n")
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {cp}: line 1: bad checkpoint header {header!r}\n")
+
+    def test_text_that_is_not_utf8_is_located(self, tmp_path, capsys):
+        cp = tmp_path / "state"
+        cp.write_bytes(b"checkpoint v3 mode=plain alpha=1/3\nopen 01\n"
+                       b"open 1\xff\n")
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {cp}: line 3: not UTF-8 text\n")
 
 
 class TestMaxAlphaCommand:

@@ -1,10 +1,10 @@
 """Deep sweep rows, each pinned with the sha256 of its certificate's text,
-and the sweep's depth-first searches checked against breadth-first ones at
-the benchmark's sizes.
+and the sweep's searches, which stop at their first stuck codeword,
+checked against the same searches run to the end at the benchmark's sizes.
 
-The plain sweep to level 18 and the strong sweep to level 18 take about
-half a minute each, too long for the default run, so these run only with
-COLLATZCERT_DEEP=1 in the environment.
+The plain sweep to level 19 takes two to three minutes and the strong
+sweep to level 18 about half a minute, too long for the default run, so
+these run only with COLLATZCERT_DEEP=1 in the environment.
 """
 
 import hashlib
@@ -26,6 +26,8 @@ DEEP_ROWS = {
          "9431fd8ac5b07c8f3e21978d4b05c89640d14c859a16047d89072f565d6f989c"),
         (18, Fraction(4, 9), 48718, 40,
          "9ef80d2491a338b680cf6139b75969ea12c7070c0546f68fbffc6f1c94ee0f6b"),
+        (19, Fraction(19, 42), 282326, 42,
+         "4221ae3266c63daf79256cee19c7da905c33aaf2e4586357b89151006138116d"),
     ],
     "strong": [
         (14, Fraction(14, 33), 16044, 33,
@@ -54,5 +56,5 @@ def test_deep_rows(mode):
 
 
 @pytest.mark.parametrize("mode,top", [("plain", 16), ("strong", 13)])
-def test_depth_first_matches_breadth_first(sweep_both_ways, mode, top):
+def test_stopped_searches_match_full_ones(sweep_both_ways, mode, top):
     assert sweep_both_ways(mode, top) > top

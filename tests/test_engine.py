@@ -14,6 +14,7 @@ from collatzcert.engine import (
     save_checkpoint,
     stats,
 )
+from collatzcert.numth import codeword_display
 from collatzcert.tree import GrowthRecord, best_ratio
 
 
@@ -27,8 +28,9 @@ class TestUnclosed:
 
 def _segments(tmp_path, alpha, weight, mode):
     """The straight run's outcome and its checkpoint, cut into the text
-    each write added: segment 0 first, then one segment per pass."""
+    each write added: segment 0 first, then each append of decisions."""
     cp = tmp_path / "straight"
+    cp.unlink(missing_ok=True)
     real = engine.save_checkpoint
     sizes = []
 
@@ -59,7 +61,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("alpha,weight,mode", RESUMED_SEARCHES)
     def test_resume_after_every_pass(self, tmp_path, run_interrupted, alpha,
                                      weight, mode):
-        # interrupted after segment 0, after each pass, and after the last
+        # interrupted after segment 0, after each append, and after the last
         straight, segments = _segments(tmp_path, alpha, weight, mode)
         cp = tmp_path / "state"
         for k in range(1, len(segments) + 1):
@@ -71,23 +73,24 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("alpha,weight,mode", RESUMED_SEARCHES)
     def test_torn_tail_is_dropped(self, tmp_path, alpha, weight, mode):
-        # a pass torn mid-append: half a closed line with no newline,
-        # complete lines with no end marker, an end marker with no newline
+        # cut the appended part of the straight run's checkpoint after
+        # each whole line and halfway through the next (segment 0 is
+        # written whole): the half line is dropped, every whole line is
+        # kept, and the run resumes to the same certificate
         straight, segments = _segments(tmp_path, alpha, weight, mode)
+        lines = "".join(segments).splitlines(keepends=True)
         cp = tmp_path / "state"
-        for k in range(1, len(segments)):
-            kept = "".join(segments[:k])
-            lines = segments[k].splitlines(keepends=True)
-            assert lines[0].startswith("closed ") and len(lines) > 1
-            for tail in (lines[0][:len(lines[0]) // 2],
-                         "".join(lines[:-1]),
-                         "".join(lines)[:-1]):
-                assert kept + tail != "".join(segments[:k + 1])
-                cp.write_text(kept + tail)
-                state = load_checkpoint(cp)
-                assert state == parse_checkpoint(kept)
-                resumed = run(alpha, weight, mode, checkpoint_path=str(cp))
-                assert resumed.to_text() == straight.to_text(), (k, tail)
+        for k in range(segments[0].count("\n"), len(lines)):
+            kept = "".join(lines[:k])
+            state = parse_checkpoint(kept)
+            assert [f"closed {e.to_line()}\n" for e in state.closed] == [
+                line for line in lines[:k] if line.startswith("closed ")]
+            assert [f"stuck {codeword_display(c)}\n" for c in state.stuck] == [
+                line for line in lines[:k] if line.startswith("stuck ")]
+            cp.write_text(kept + lines[k][:len(lines[k]) // 2])
+            assert load_checkpoint(cp) == state
+            resumed = run(alpha, weight, mode, checkpoint_path=str(cp))
+            assert resumed.to_text() == straight.to_text(), k
 
     def test_checkpoint_is_at_most_twice_the_certificate(self, tmp_path):
         for alpha, weight, mode in [*RESUMED_SEARCHES,
@@ -97,21 +100,22 @@ class TestCheckpoints:
             assert isinstance(cert, Certificate)
             assert cp.stat().st_size <= 2 * len(cert.to_text().encode())
 
-    def test_round_trip_is_byte_identical(self, tmp_path, run_interrupted):
-        # a state loaded, saved fresh as segment 0 and loaded again is the
-        # same state, and saving it again writes the same bytes
-        cp, fresh = tmp_path / "state", tmp_path / "fresh"
-        for k, weight in [(3, 4), (4, 3)]:
-            cp.unlink(missing_ok=True)
-            run_interrupted(k, Fraction(1, 3), weight, "plain",
-                            checkpoint_path=str(cp))
-            state = load_checkpoint(cp)
-            save_checkpoint(state, fresh)
-            text = fresh.read_text()
-            assert load_checkpoint(fresh) == state
-            save_checkpoint(load_checkpoint(fresh), fresh)
-            assert fresh.read_text() == text
-        # the second state is a finished search that left 2221 stuck
+    def test_round_trip_is_byte_identical(self, tmp_path):
+        # every state a run leaves, loaded, saved fresh as segment 0 and
+        # loaded again, is the same state, and saving it again writes the
+        # same bytes
+        fresh = tmp_path / "fresh"
+        for alpha, weight in [(Fraction(1, 3), 4), (Fraction(5, 14), 4),
+                              (Fraction(1, 3), 3)]:
+            _, segments = _segments(tmp_path, alpha, weight, "plain")
+            for k in range(1, len(segments) + 1):
+                state = parse_checkpoint("".join(segments[:k]))
+                save_checkpoint(state, fresh)
+                text = fresh.read_text()
+                assert load_checkpoint(fresh) == state
+                save_checkpoint(load_checkpoint(fresh), fresh)
+                assert fresh.read_text() == text
+        # the last state is a finished search that left 2221 stuck
         assert (state.open_codewords, state.stuck) == ([], [(1, 2, 2, 2)])
 
     def test_mismatched_resume_is_refused(self, tmp_path, run_interrupted):
@@ -123,22 +127,37 @@ class TestCheckpoints:
             run(Fraction(1, 3), 4, "strong", checkpoint_path=str(cp))
 
     def test_each_pass_writes_one_checkpoint(self, tmp_path):
-        # segment 0 holds the six roots, then each pass appends only what
-        # it decided, so every closed entry is written once
+        # segment 0 holds the six roots, then the decisions are appended
+        # in the order they are made, each just before a codeword of level
+        # 2 or less is decided and once at the end, so every closed entry
+        # is written once and in canonical order
         cert, segments = _segments(tmp_path, Fraction(1, 3), 5, "strong")
-        assert segments[0].startswith("checkpoint v2 mode=strong alpha=1/3\n")
-        assert [s.splitlines()[-1] for s in segments] == [
-            f"end {k}" for k in range(len(segments))]
-        assert sorted(line for s in segments for line in s.splitlines()
-                      if line.startswith("closed ")) == sorted(
-            f"closed {e.to_line()}" for e in cert.entries)
+        assert segments[0] == "checkpoint v3 mode=strong alpha=1/3\n" + "".join(
+            f"open {w}\n" for w in ("01", "11", "21", "02", "12", "22"))
+        decisions = [line for s in segments[1:] for line in s.splitlines()]
+        assert decisions == [f"closed {e.to_line()}" for e in cert.entries]
+        # a decision of level 2 or less, whose codeword is displayed in
+        # three digits or less, opens an append
+        assert all(len(line.split()[1]) > 3 for s in segments[1:]
+                   for line in s.splitlines()[1:])
         assert [hashlib.sha256(s.encode()).hexdigest() for s in segments] == [
-            "08f133086831d06d708e26ec578b35e517f56a9268e1ddcf1b6178bcdcf144a3",
-            "01d16049b3f09408ed2de0153f2de176a4bbfd97ebb0377932d980b73bf8941a",
-            "78d44c959855dc57f6acf2594bfb088e73d3f9817adc6b3d52225b3a0e3cf5c7",
-            "2d1cd2aa94f949b71b108a5415878e4c6bdc73e0561d84e7b9aa43f45a766a44",
-            "e6074f5103667d46a23f5f523cf6daabdd65813da3d6186490f63b7d1f02dbf5",
-            "a57c6eecc0482d21876c30dac996587bc3b16455f6278f2ef0eedd01cc5ca5aa",
+            "966d4a03b40d058d2aee0bcb13c54cb4bf1268284b61fbb49d90a07946365bd2",
+            "a73a11117948fef23b818d8b4292e42b4b76edd94a0fea421983d436dc199cb1",
+            "1da421a1519bfedf984bdb9ab8a46335a1a78f792be5f805070ca387209784aa",
+            "fcb07c964afe41cc59e309e22ad3017af68bfc4521f4c69e44ea7bf9087a4eb8",
+            "d759961225b7e7cdbc17bca485fc13996934a28a2f9f2a207f9be9ddc03bbec3",
+            "60b98d69e2702daf60cefccfd8e1de1aad2bea988ba1424e9046acc7f7278bc6",
+            "0509c195f7e3c57da1667de4978230b5cedf68f1cc2dc4027a3c04494b4dbebb",
+            "538018d3b93eb259200e13c435709c62d9a2decd16ad39646b4ad3b7ff037572",
+            "4067a03772dcc6aacd1057cec0c63f89b4907cc8d3dccfbbafaa8c4da24047ea",
+            "c7ee02a0cbbcc4dcef230944d8ebe9f8aef4ef05461bd8c01224612fb767ce0a",
+            "7239b2ed448a2b04b8ec63a1ac30984257aaf6513d23309e849e9dc19103cf4f",
+            "a3a523f36f84c76076cc9d318bda6a243dd2287a50bedc699bb64bc79820659d",
+            "14539ab783781f72fc13f9c9f85690d00b51a3c829c4c5da3ba2e57cd8fbe3f8",
+            "647704747d049e1b7f23ba25930fc46e0254154100ac38fd2902941d2bf81dca",
+            "4f3b37d6db35425e50729be02af6904cb0248d29594a237e60b4ff96a2424525",
+            "aa363ea7afff85fa18db784b3790198e80f15ef20022103eef4185e2a2f16310",
+            "d6a42bf74c092c33c122f2cb4f3a615f805bc5e5fc81231d31a62c7031b28633",
         ]
 
     def test_unclosed_checkpoint_resumes_at_a_larger_weight(
@@ -154,34 +173,12 @@ class TestCheckpoints:
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == reference_plain.to_text()
 
-    def test_v1_checkpoint_with_closed_entries_resumes(self, tmp_path,
-                                                       reference_plain):
-        # the state after the first pass, as the v1 format wrote it
-        cp = tmp_path / "state"
-        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n"
-                      "open 021\nopen 121\nopen 221\n" + "".join(
-                          f"closed {e.to_line()}\n" for e in reference_plain.entries
-                          if e.level == 1))
-        resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
-        assert resumed.to_text() == reference_plain.to_text()
-        assert cp.read_text().startswith("checkpoint v2 ")
-
-    def test_split_past_the_codeword_limit_is_refused(self):
-        # the derived frontier obeys the limit an open line does
-        longest = "1" * engine.MAX_CODEWORD_LEN
-        text = f"checkpoint v2 mode=plain alpha=1/3\nopen {longest}\nend 0\n"
-        assert parse_checkpoint(text).open_codewords == [
-            (1,) * engine.MAX_CODEWORD_LEN]
-        with pytest.raises(ValueError, match="line 4: pass 1 splits .* into "
-                           "codewords longer than 80 digits"):
-            parse_checkpoint(text + "end 1\n")
-
     def test_mixed_level_checkpoint_resumes(self, tmp_path, reference_plain):
         # five level-1 codewords next to the three children of 21, the one
         # the straight run splits: each open codeword is tested at its own
         # level's depth cap
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n" + "".join(
+        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
             f"open {w}\n"
             for w in ("01", "02", "11", "12", "22", "021", "121", "221")))
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
@@ -192,7 +189,7 @@ class TestCheckpoints:
         # 21 beside deeper codewords: at level 2's cap it would close with
         # ones-ratio 1/4; at its own cap it splits as in the straight run
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v1 mode=plain alpha=1/3\n" + "".join(
+        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
             f"open {w}\n"
             for w in ("02", "11", "12", "21", "22", "001", "101", "201")))
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
@@ -235,14 +232,15 @@ class TestSiblingGrowth:
         monkeypatch.setattr(engine, "grow_children", grow)
         monkeypatch.setattr(engine, "_close_decision", decide)
         assert isinstance(run(Fraction(5, 14), 6, "plain"), Certificate)
-        assert sorted(grown) == sorted({c[:-1] for c in decided})
-        assert grown[:2] == [(1,), (2,)]
+        # depth first, a group is grown when its first child is decided
+        assert grown == list(dict.fromkeys(c[:-1] for c in decided))
+        assert grown[0] == (1,) and (2,) in grown
         assert len(decided) == 3 * len(grown)
 
     def test_run_killed_mid_pass_resumes_byte_identical(self, tmp_path,
                                                         monkeypatch):
-        # killed between two sibling groups of the third pass, the run
-        # resumes from the second pass's segment
+        # killed between two grows after the third write, the run resumes
+        # from the decisions appended so far
         straight = run(Fraction(5, 14), 6, "plain")
         cp = tmp_path / "state"
         real_grow, real_save = engine.grow_children, engine.save_checkpoint
@@ -326,16 +324,20 @@ class TestDepthFirst:
         assert run(alpha, weight, mode, stop_at_stuck=True).to_text() == wide
         assert len(checks) == 1
 
-    def test_checkpoint_is_refused(self, tmp_path, monkeypatch):
-        def grow(*args):
-            raise AssertionError("grow_children called")
-
-        monkeypatch.setattr(engine, "grow_children", grow)
+    def test_stopped_search_resumes(self, tmp_path):
+        # a search stopped at its first stuck codeword leaves a checkpoint
+        # that resumes, stopped or not, to the straight run's outcome
         cp = tmp_path / "state"
-        with pytest.raises(ValueError, match="takes no checkpoint"):
-            run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp),
+        for stop in (True, False):
+            straight = run(Fraction(5, 14), 4, "plain", stop_at_stuck=stop)
+            cp.unlink(missing_ok=True)
+            run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp),
                 stop_at_stuck=True)
-        assert not cp.exists()
+            state = load_checkpoint(cp)
+            assert state.stuck == [(1, 2, 0, 1, 2)] and state.open_codewords
+            resumed = run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp),
+                          stop_at_stuck=stop)
+            assert resumed == straight
 
     def test_canonical_order_grows_each_group_once(self, monkeypatch):
         # without a cache a group's record is kept until its last child is
@@ -406,8 +408,19 @@ class TestInvariants:
             assert isinstance(out, Certificate)
             assert out.kraft_sum() == 1
 
-    def test_splits_are_one_digit_extensions(self, tmp_path, run_interrupted):
-        cp = tmp_path / "state"
-        run_interrupted(2, Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
-        state = load_checkpoint(cp)
-        assert {len(c) for c in state.open_codewords} == {3}
+    def test_splits_are_one_digit_extensions(self, tmp_path):
+        # at every write, each open codeword is a root after the last
+        # decision or a later one-digit extension of a codeword split on
+        # the way to it, and with the decided ones they form an exhaustive
+        # prefix code
+        _, segments = _segments(tmp_path, Fraction(5, 14), 6, "plain")
+        for k in range(2, len(segments)):
+            state = parse_checkpoint("".join(segments[:k]))
+            last = state.closed[-1].codeword
+            assert state.open_codewords
+            for c in state.open_codewords:
+                if c not in engine.INITIAL_CODEWORDS:
+                    split = c[:-1]
+                    assert split == last[:len(split)] and c > last, c
+                assert c > last
+            engine._check_resumable(state, "state")
