@@ -171,10 +171,10 @@ def parse_checkpoint(text: str) -> CheckpointState:
 
 
 def load_checkpoint(path) -> CheckpointState:
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return parse_checkpoint(decode_text(data))
+        with open(path, "rb") as fh:
+            text = decode_text(fh.read())
+        return parse_checkpoint(text)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
 
@@ -190,9 +190,9 @@ def save_checkpoint(record: CheckpointState | list, path) -> None:
     """
     if not isinstance(record, CheckpointState):
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write("".join(
+            fh.writelines(
                 f"closed {d.to_line()}\n" if isinstance(d, CertificateEntry)
-                else f"stuck {codeword_display(d)}\n" for d in record))
+                else f"stuck {codeword_display(d)}\n" for d in record)
         return
     alpha = record.alpha
     lines = [f"checkpoint v3 mode={record.mode} "
