@@ -368,18 +368,17 @@ def run(
         if cache is None and c[-1] == 2:
             del memo[c[:-1]]
         if paths is not None:
-            decision = CertificateEntry(codeword=c, paths=paths)
-            closed.append(decision)
-        elif len(c) - 1 >= max_weight:
-            decision = c
-            stuck.append(c)
-        else:
+            closed.append(CertificateEntry(codeword=c, paths=paths))
+            if log is not None:
+                log.append(closed[-1])
+        elif len(c) - 1 < max_weight:
             todo.extend(c + (d,) for d in (2, 1, 0))
-            continue
-        if log is not None:
-            log.append(decision)
-        if stuck and stop_at_stuck:
-            break
+        else:
+            stuck.append(c)
+            if log is not None:
+                log.append(c)
+            if stop_at_stuck:
+                break
     if log:
         save_checkpoint(log, checkpoint_path)
 

@@ -25,6 +25,24 @@ class TestUnclosed:
         assert out.open_codewords == [(1, 2, 2, 2)]
         assert best_ratio((1, 2, 2, 2), 9) == Fraction(2, 7)
 
+    @pytest.mark.parametrize("alpha,weight,mode,count,digest", [
+        (Fraction(5, 14), 4, "plain", 3,
+         "c8e53466761ba7bb8edc4a445671970155569cd6a64cd059a023799be1606fb9"),
+        (Fraction(2, 5), 7, "plain", 40,
+         "c3d459524fa9fba9690a6982cd89b031aa3ab1f7030887520cffdd178675c1d1"),
+        (Fraction(3, 7), 6, "strong", 243,
+         "d7c81c5046d5992c3e00045cde84346806936936666eaf09d463b14cc7618cf0"),
+    ])
+    def test_report_lists_every_stuck_codeword(self, alpha, weight, mode,
+                                                count, digest):
+        # the sorted reports the former breadth-first loop gave, by the
+        # sha256 of their displays joined by spaces
+        out = run(alpha, weight, mode)
+        assert isinstance(out, Unclosed) and len(out.open_codewords) == count
+        assert out.open_codewords == sorted(out.open_codewords)
+        displays = " ".join(codeword_display(c) for c in out.open_codewords)
+        assert hashlib.sha256(displays.encode()).hexdigest() == digest
+
 
 def _segments(tmp_path, alpha, weight, mode):
     """The straight run's outcome and its checkpoint, cut into the text
