@@ -12,7 +12,7 @@ integers, with a Fraction built only to word a failure.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -367,7 +367,6 @@ def search(
     alpha: Fraction,
     max_weight: int,
     mode: str = PLAIN,
-    checkpoint: str | None = None,
     cache: dict | None = None,
     stop_at_stuck: bool = False,
 ) -> SearchOutcome:
@@ -378,13 +377,12 @@ def search(
     splitting it into its three one-digit extensions, until the code closes
     or a split would exceed max_weight.  With ``stop_at_stuck`` it stops at
     the first codeword stuck there, the least one, and reports only that
-    one.  Delegates scheduling, the checkpoint and the argument checks to
-    the engine.
+    one.  Delegates scheduling and the argument checks to the engine.
     """
     from . import engine
 
-    return engine.run(alpha, max_weight, mode, checkpoint_path=checkpoint,
-                      cache=cache, stop_at_stuck=stop_at_stuck)
+    return engine.run(alpha, max_weight, mode, cache=cache,
+                      stop_at_stuck=stop_at_stuck)
 
 
 def depth_cap(level: int, alpha: Fraction) -> int:
@@ -421,7 +419,15 @@ class SweepState:
     no codeword after it.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds one growth
-    record for each group of siblings, keyed by their parent.
+    record for each group of siblings, keyed by their parent, and no record
+    is ever asked past the cap it was grown at.  Caps fall as the ratio
+    rises, and a level's tests rise.  A test that failed at level l,
+    a = farey_successor(c, depth_cap(l, c)), grew only at caps
+    depth_cap(L, a) with L <= l, and every later test t lies above c, since
+    champions never fall.  If t < a, each such cap is the same at t as at
+    a: a change in between needs a fraction L/k in [t, a) with
+    k <= depth_cap(L, c) <= depth_cap(l, c), and a is the least fraction
+    above c with a denominator that small.
     """
 
     mode: str = PLAIN
@@ -540,9 +546,9 @@ def witnesses(
     entries = {e.codeword: e for e in cert.entries}
     out: list[WitnessRecord] = []
     # queue of (integer, cumulative steps to start, cumulative ones)
-    queue: list[tuple[int, int, int]] = [(start, 0, 0)]
+    queue: deque[tuple[int, int, int]] = deque([(start, 0, 0)])
     while len(out) < count:
-        n, k_acc, ones_acc = queue.pop(0)
+        n, k_acc, ones_acc = queue.popleft()
         entry = _match_entry(entries, n)
         for path in entry.paths[:breadth]:
             lifted = _lift(n, path)

@@ -18,13 +18,15 @@ preserves the prefix-code property, which is asserted as an exact Kraft
 identity once per search.
 
 A run with a checkpoint writes the file whole once, as segment 0: the
-entries it carries over and the codewords it starts from.  Then it
-appends its decisions, ``closed`` entries and ``stuck`` codewords, in the
-order it makes them.  Depth first, every decision is the least open
-codeword or a descendant of it, so the loader derives the open codewords
-from the decisions alone, and any prefix of the file that ends at a
-newline is a valid state.  Each closed entry is written once, and a
-checkpoint is about one certificate's worth of text.
+entries it carries over and the codewords it starts from, in canonical
+order.  Then it appends its decisions, ``closed`` entries and ``stuck``
+codewords, in the order it makes them.  Every record, from the six roots
+on, decides the least open codeword or a descendant of it, so the loader
+derives the open codewords from the records alone and refuses any record
+out of place at its line: every prefix of the file that ends at a newline
+is a valid state, an exhaustive prefix code with no level-0 codeword.
+Each closed entry is written once, and a checkpoint is about one
+certificate's worth of text.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .certify import (
     PLAIN,
@@ -41,8 +44,6 @@ from .certify import (
     CertificateEntry,
     SearchOutcome,
     Unclosed,
-    Violation,
-    code_violations,
     decode_text,
     depth_cap,
     entry_violations,
@@ -94,79 +95,72 @@ class CheckpointState:
 
 
 class _DecisionLog:
-    """The records of a v3 checkpoint, read in order.
+    """The records of a v4 checkpoint, read in order.
 
-    ``closed`` and ``stuck`` lines before the first ``open`` line are
-    carried over; after it each one is a decision.  Depth first, every
-    decision is the least open codeword or a descendant of it: a codeword
-    above the decided one was split, and its later children are open.  So
-    the open codewords are kept as the search keeps them, a stack with the
-    least on top, and a decision anywhere else is refused.
+    Every record is a decision on one codeword: a ``closed`` or ``stuck``
+    one leaves the search, and an ``open`` one is set aside.  From the six
+    roots on, depth first, each decision is the least open codeword or a
+    descendant of it: a codeword above the decided one was split, and its
+    later children are open.  So the open codewords are kept as the search
+    keeps them, a stack with the least on top, and a record anywhere else
+    is refused.  When the stack runs out, the codewords set aside become
+    the stack, as a resumed run starts from them.
     """
 
     def __init__(self):
-        self.todo: list[tuple[int, ...]] = []     # the open codewords
-        self.deciding = False
+        self.todo = list(INITIAL_CODEWORDS[::-1])   # the least on top
+        self.opened: list[tuple[int, ...]] = []    # set aside, ascending
         self.closed: list[CertificateEntry] = []
         self.stuck: list[tuple[int, ...]] = []
 
     def __call__(self, line: str) -> None:
         kind, _, rest = line.partition(" ")
         rest = rest.strip()
-        if kind == "open":
-            if self.deciding:
-                raise ValueError("open record after a decision")
-            self.todo.append(codeword_from_display(rest))
-            return
         if kind == "closed":
             entry = parse_entry(rest)
             codeword = entry.codeword
-        elif kind == "stuck":
+        elif kind in ("open", "stuck"):
             codeword = codeword_from_display(rest)
         else:
             raise ValueError(f"unknown record {kind!r}")
-        if self.todo and not self.deciding:
-            self.todo.sort(reverse=True)
-            self.deciding = True
-        if self.deciding:
-            self._decide(kind, codeword)
-        if kind == "closed":
-            self.closed.append(entry)
-        else:
-            self.stuck.append(codeword)
-
-    def _decide(self, kind: str, codeword: tuple[int, ...]) -> None:
         todo = self.todo
+        if not todo:
+            todo.extend(reversed(self.opened))
+            self.opened = []
+        if not todo:
+            raise ValueError(f"{kind} codeword {codeword_display(codeword)} "
+                             f"where no codeword is open")
         while True:
-            if not todo:
-                raise ValueError(f"{kind} codeword {codeword_display(codeword)} "
-                                 f"where no codeword is open")
-            least = todo[-1]
+            least = todo.pop()
             if codeword[:len(least)] != least:
                 raise ValueError(
                     f"{kind} codeword {codeword_display(codeword)} is not at "
                     f"or below the least open codeword {codeword_display(least)}")
-            todo.pop()
             if codeword == least:
-                return
+                break
             todo.extend(least + (d,) for d in (2, 1, 0))
-
+        if kind == "closed":
+            self.closed.append(entry)
+        elif kind == "stuck":
+            self.stuck.append(codeword)
+        else:
+            self.opened.append(codeword)
 
 
 def parse_checkpoint(text: str) -> CheckpointState:
-    """Parse a v3 checkpoint; errors carry line numbers.
+    """Parse a v4 checkpoint; errors carry line numbers.
 
     A last line with no newline is a torn append, and is dropped: every
     line before it is whole, and any run of whole lines is a valid state.
-    The open codewords are those left open after the last decision, in
-    canonical order; closed entries and stuck codewords are listed in the
-    order the file lists them.
+    The open codewords are those set aside or still on the stack after the
+    last record, in canonical order; closed entries and stuck codewords are
+    listed in the order the file lists them.
     """
     log = _DecisionLog()
     mode, alpha, _ = parse_records(text.split("\n")[:-1], "checkpoint", log,
-                                   "v3")
+                                   "v4")
     return CheckpointState(alpha=alpha, mode=mode,
-                           open_codewords=sorted(log.todo),
+                           open_codewords=sorted([*log.opened, *log.todo]),
                            closed=log.closed, stuck=log.stuck)
 
 
@@ -180,13 +174,14 @@ def load_checkpoint(path) -> CheckpointState:
 
 
 def save_checkpoint(record: CheckpointState | list, path) -> None:
-    """Write a search's checkpoint in the v3 format.
+    """Write a search's checkpoint in the v4 format.
 
     A CheckpointState is written whole, as segment 0, to a file beside
-    ``path`` that is then renamed over it: its closed entries, its stuck
-    codewords, then its open codewords in canonical order.  A list of
-    decisions, closed entries and stuck codewords in the order the search
-    made them, is appended.
+    ``path`` that is then renamed over it: one line per closed entry,
+    stuck codeword and open codeword, merged in canonical order, so a
+    fresh run's segment 0 is its six roots, open.  A list of decisions,
+    closed entries and stuck codewords in the order the search made them,
+    is appended.
     """
     if not isinstance(record, CheckpointState):
         with open(path, "a", encoding="utf-8") as fh:
@@ -195,31 +190,24 @@ def save_checkpoint(record: CheckpointState | list, path) -> None:
                 else f"stuck {codeword_display(d)}\n" for d in record)
         return
     alpha = record.alpha
-    lines = [f"checkpoint v3 mode={record.mode} "
-             f"alpha={alpha.numerator}/{alpha.denominator}"]
-    lines.extend(f"closed {e.to_line()}" for e in record.closed)
-    lines.extend(f"stuck {codeword_display(c)}" for c in record.stuck)
-    lines.extend(f"open {codeword_display(c)}"
-                 for c in sorted(record.open_codewords))
+    records = [(e.codeword, f"closed {e.to_line()}") for e in record.closed]
+    records.extend((c, f"stuck {codeword_display(c)}") for c in record.stuck)
+    records.extend((c, f"open {codeword_display(c)}")
+                   for c in record.open_codewords)
+    records.sort(key=itemgetter(0))
+    lines = [f"checkpoint v4 mode={record.mode} "
+             f"alpha={alpha.numerator}/{alpha.denominator}",
+             *(line for _, line in records)]
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
-def stats(obj) -> list[tuple[int, int]]:
-    """Per-level population: codewords of level >= l', for each l'.
-
-    Accepts a finished Certificate or a CheckpointState (whose open and
-    stuck codewords count alongside the closed entries).
-    """
-    if isinstance(obj, Certificate):
-        levels = [e.level for e in obj.entries]
-    elif isinstance(obj, CheckpointState):
-        levels = [e.level for e in obj.closed]
-        levels.extend(len(c) - 1 for c in [*obj.open_codewords, *obj.stuck])
-    else:
-        raise TypeError(f"stats wants a Certificate or CheckpointState, not {type(obj)}")
+def stats(cert: Certificate) -> list[tuple[int, int]]:
+    """Per-level population of a certificate: entries of level >= l', for
+    each l'."""
+    levels = [e.level for e in cert.entries]
     top = max(levels, default=0)
     return [(lv, sum(1 for x in levels if x >= lv)) for lv in range(1, top + 1)]
 
@@ -269,36 +257,30 @@ class _KraftLedger:
 
 
 def _check_resumable(state: CheckpointState, path) -> None:
-    """Refuse a checkpoint whose codewords do not form an exhaustive prefix
-    code, that leaves a level-0 codeword open or stuck, or whose closed
-    entries would not verify at its ratio and mode."""
-    unclosed = [*state.open_codewords, *state.stuck]
-    problems = code_violations([*unclosed, *(e.codeword for e in state.closed)])
-    problems.extend(
-        Violation(codeword_display(c), None, None,
-                  "open codeword of level 0 (growth needs level >= 1)")
-        for c in unclosed if len(c) < 2)
+    """Refuse a checkpoint whose closed entries would not verify at its
+    ratio and mode.  The loader has already refused every record out of
+    place, so its codewords form an exhaustive prefix code with none of
+    level 0."""
     for e in state.closed:
-        problems.extend(entry_violations(e, state.alpha, state.mode))
-    if problems:
-        raise ValueError(f"checkpoint {path}: {problems[0]}")
+        problems = entry_violations(e, state.alpha, state.mode)
+        if problems:
+            raise ValueError(f"checkpoint {path}: {problems[0]}")
 
 
 def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
             alpha: Fraction, mode: str) -> tuple[str, ...] | None:
     """The close decision for one codeword, at its own level's cap, from
-    its parent's record in the memo, grown (or regrown) there when the
-    record cannot answer: siblings share a level and so a cap, so a record
-    grown for one of them answers all three, and every later query that
-    the record it replaces answered."""
+    its parent's record in the memo, grown there when there is none:
+    siblings share a level and so a cap, so a record grown for one of them
+    answers all three.  A record is never asked past its cap, within one
+    search or across the sweep's (see ``SweepState``)."""
     cap = caps[len(c) - 1]
     parent = c[:-1]
     record = memo.get(parent)
-    keys = None if record is None else record.keys_within(c[-1], cap)
-    if keys is None:
+    if record is None:
         record = memo[parent] = grow_children(parent, cap)
-        keys = record.keys_within(c[-1], cap)
-    return _close_decision(c, keys, cap, alpha, mode)
+    return _close_decision(c, record.keys_within(c[-1], cap), cap, alpha,
+                           mode)
 
 
 def run(
@@ -326,9 +308,10 @@ def run(
     that was stuck is open again, so a larger ``max_weight`` continues it.
 
     Growth records are memoised by parent, one for each group of siblings:
-    in ``cache`` when the caller passes one, to share them across searches,
-    and otherwise in a memo of the search's own, under the module's one
-    rule for it.
+    in ``cache`` when the caller passes one, to share them across searches
+    that never ask a record past its cap, as the sweep's never do, and
+    otherwise in a memo of the search's own, under the module's one rule
+    for it.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")

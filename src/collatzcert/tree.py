@@ -104,14 +104,14 @@ class GrowthRecord:
     nodes_expanded: int
     frontier_peak: int
 
-    def keys_within(self, digit: int, cap: int) -> list[int] | None:
-        """The keys of child ``digit``'s leaves within ``cap``, or None
-        when a deeper cap could find more than the record holds.  When
-        every key is within the cap this is the record's own list, which
-        no caller may change."""
+    def keys_within(self, digit: int, cap: int) -> list[int]:
+        """The keys of child ``digit``'s leaves within ``cap``, which may
+        not pass the record's own: a deeper cap could find more than the
+        record holds.  When every key is within the cap this is the
+        record's own list, which no caller may change."""
+        if cap > self.cap:
+            raise ValueError(f"cap {cap} is past the record's cap {self.cap}")
         keys = self.witnesses[digit]
-        if cap > self.cap and len(keys) < 2:
-            return None
         limit = 1 << (cap + 1)            # keys of depth <= cap lie below
         if not keys or keys[-1] < limit:
             return keys

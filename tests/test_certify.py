@@ -13,6 +13,7 @@ from collatzcert.certify import (
     CertificateEntry,
     SweepState,
     Unclosed,
+    code_violations,
     farey_successor,
     parse_certificate,
     parse_ratio,
@@ -27,27 +28,38 @@ from collatzcert.tree import walk_nodes
 
 # Text near both file formats: a known header, then lines of an optional
 # checkpoint record kind and format words, malformed fields and arbitrary
-# short strings; or arbitrary text.
+# short strings; or checkpoint records of short codewords, which the
+# loader often accepts; or arbitrary text.
 _WORDS = st.one_of(
-    st.sampled_from(["certificate", "checkpoint", "v1", "v2", "v3", "mode=plain",
-                     "mode=strong", "alpha=1/3", "alpha=", "02", "12", "001",
-                     "1", "3", "01", "0x", "\u00b2", "#", "end", "stuck",
-                     "0"]),
+    st.sampled_from(["certificate", "checkpoint", "v1", "v3", "v4",
+                     "mode=plain", "mode=strong", "alpha=1/3", "alpha=",
+                     "02", "12", "001", "1", "3", "01", "11", "0x", "\u00b2",
+                     "#", "end", "stuck", "0"]),
     st.text(max_size=3),
 )
+_CODEWORDS = st.sampled_from(["1", "01", "11", "21", "02", "12", "22", "001",
+                              "101", "201", "021", "121", "0001", "2001",
+                              "1221"])
 _TEXTS = st.one_of(
     st.text(),
     st.builds(
         lambda header, lines: header + "".join(line + "\n" for line in lines),
         st.sampled_from(["", "certificate v1 mode=plain alpha=1/3\n",
                          "checkpoint v1 mode=strong alpha=2/5\n",
-                         "checkpoint v2 mode=plain alpha=1/3\n",
-                         "checkpoint v3 mode=plain alpha=1/3\n"]),
+                         "checkpoint v3 mode=plain alpha=1/3\n",
+                         "checkpoint v4 mode=plain alpha=1/3\n"]),
         st.lists(st.builds(lambda kind, words: kind + " ".join(words),
                            st.sampled_from(["", "open ", "closed ", "stuck ",
                                             "end "]),
                            st.lists(_WORDS, max_size=6)),
                  max_size=6),
+    ),
+    st.builds(
+        lambda records: "checkpoint v4 mode=strong alpha=2/5\n" + "".join(
+            f"closed {c} {len(c) - 1} 1 1\n" if kind == "closed"
+            else f"{kind} {c}\n" for kind, c in records),
+        st.lists(st.tuples(st.sampled_from(["open", "closed", "stuck"]),
+                           _CODEWORDS), max_size=12),
     ),
 )
 
@@ -181,24 +193,35 @@ class TestFileFormat:
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
     @example("checkpoint v1 mode=plain alpha=1/3\nopen 0x\n")
-    @example("checkpoint v2 mode=plain alpha=1/3\nopen 01\nend 0\n")
-    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nclosed 01 1 2 01\n"
-             "closed 0")
-    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 001\nstuck 21\n")
-    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 01\nstuck 01\n")
-    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\nstuck 01\nopen 11\n")
-    @example("checkpoint v3 mode=plain alpha=1/3\n")
+    @example("checkpoint v3 mode=plain alpha=1/3\nopen 01\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nclosed 01 1 2 01\nclosed 0")
+    @example("checkpoint v4 mode=plain alpha=1/3\nstuck 001\nstuck 21\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nopen 01\nstuck 01\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nopen 01\nopen 001\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nopen 1\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nclosed 01 1 2 01\nopen 11\n"
+             "open 21\nopen 02\nopen 12\nopen 22\nstuck 11\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\nstuck 22222\n")
+    @example("checkpoint v4 mode=plain alpha=1/3\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 \u00b2 1 1\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 1 \u00b2 1\n")
     @example("certificate v1 mode=plain alpha=\u00b2/3\n")
     @example("certificate v1 mode=plain alpha=1/3\n02 " + "1" * 5000 + " 1 1\n")
     @given(_TEXTS)
     def test_every_parse_error_is_located(self, text):
+        # and every state the checkpoint loader accepts is an exhaustive
+        # prefix code with no codeword of level 0
         for parse in (parse_certificate, parse_checkpoint):
             try:
-                parse(text)
+                parsed = parse(text)
             except ValueError as exc:
                 assert str(exc).startswith("line "), (parse.__name__, exc)
+                continue
+            if parse is parse_checkpoint:
+                codewords = [*parsed.open_codewords, *parsed.stuck,
+                             *(e.codeword for e in parsed.closed)]
+                assert code_violations(codewords) == []
+                assert all(len(c) >= 2 for c in codewords)
 
 
 class TestSearch:
@@ -424,6 +447,20 @@ class TestWitnesses:
         assert len({rec.n for rec in chain}) == 6
         for rec in chain:
             assert rec.ratio >= Fraction(1, 3)
+
+    def test_longer_breadth_two_chain_extends_the_shorter(self,
+                                                          reference_strong):
+        # breadth first: a longer chain starts with the shorter one, and
+        # records 2i+2 and 2i+3 are the two preimages of record i
+        short = witnesses(reference_strong, 41, 100, breadth=2)
+        chain = witnesses(reference_strong, 41, 1000, breadth=2)
+        assert chain[:100] == short
+        for i, rec in enumerate(chain[2:], start=2):
+            parent = chain[(i - 2) // 2]
+            v = rec.n
+            for _ in range(rec.k - parent.k):
+                v = t_map(v)
+            assert v == parent.n, i
 
     def test_parity_matches_reversed_path(self, reference_plain):
         # the forward parity of each segment is its path reversed; checked

@@ -216,25 +216,21 @@ class TestSearchVerifiesBeforeWriting:
         assert not out.exists()
 
 
+_ROOTS = ["open 01", "open 11", "open 21", "open 02", "open 12", "open 22"]
+
+
 class TestResumeFromBadCheckpoint:
     @pytest.mark.parametrize("records,reason", [
-        # Kraft sum 1/3 + 2/9: classes 02, 12, 21, 22 are missing
-        (["open 01", "open 11"], "Kraft sum 2/9 + 1/3 = 5/9 != 1"),
         # the carried-over entry's path has ones-ratio 0 < 1/3
-        (["closed 02 1 1 0", "open 01", "open 11", "open 12", "open 21",
-          "open 22"], "entry 02, path 1: ones-ratio 0/1"),
-        # exhaustive by Kraft sum, but 01 is listed twice and 02 not at all
-        (["open 01", "open 01", "open 11", "open 12", "open 21", "open 22"],
-         "entry 01: duplicate codeword"),
-        (["open 01", "open 001", "open 02", "open 11", "open 12", "open 21",
-          "open 22"], "entry 01: prefix of fellow codeword 001"),
-        # exhaustive, but level-0 codewords cannot be grown
-        (["open 1", "open 2"], "entry 1: open codeword of level 0"),
+        (["closed 01 1 1 0"], "entry 01, path 1: ones-ratio 0/1"),
+        # an entry carried after open codewords is checked as well
+        (["open 01", "open 11", "open 21", "closed 02 1 1 0"],
+         "entry 02, path 1: ones-ratio 0/1"),
     ])
     def test_exits_three_without_writing(self, tmp_path, capsys, records,
                                          reason):
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n"
+        cp.write_text("checkpoint v4 mode=plain alpha=1/3\n"
                       + "".join(r + "\n" for r in records))
         out = tmp_path / "found.cert"
         assert main(["search", "--alpha", "1/3", "--max-weight", "4",
@@ -244,37 +240,57 @@ class TestResumeFromBadCheckpoint:
         assert reason in err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("records,located", [
         # 021 is a child of 21, and the least open codeword is 01
-        (["closed 021 2 6 000101"],
+        ([*_ROOTS, "closed 021 2 6 000101"],
          "line 8: closed codeword 021 is not at or below the least open "
          "codeword 01"),
         # splitting 01 opens 001, 101 and 201, and 001 is the least
-        (["stuck 101"],
+        ([*_ROOTS, "stuck 101"],
          "line 8: stuck codeword 101 is not at or below the least open "
          "codeword 001"),
-        (["closed 01 1 2 01", "closed 01 1 2 01"],
+        ([*_ROOTS, "closed 01 1 2 01", "closed 01 1 2 01"],
          "line 9: closed codeword 01 is not at or below the least open "
          "codeword 11"),
-        (["closed 01 1 2 01", "open 11"], "line 9: open record after a decision"),
-        ([*(f"stuck {w}" for w in ("01", "11", "21", "02", "12", "22")),
+        # a codeword listed twice: the first one is already set aside
+        (["open 01", "open 01", "open 11", "open 12", "open 21", "open 22"],
+         "line 3: open codeword 01 is not at or below the least open "
+         "codeword 11"),
+        ([*_ROOTS, *(f"stuck {w}" for w in ("01", "11", "21", "02", "12", "22")),
           "stuck 22"], "line 14: stuck codeword 22 where no codeword is open"),
+        # 001 extends 01, which is already set aside
+        (["open 01", "open 001", "open 02", "open 11", "open 12", "open 21",
+          "open 22"],
+         "line 3: open codeword 001 is not at or below the least open "
+         "codeword 11"),
+        # the records start from the six roots, of level 1
+        (["open 1", "open 2"],
+         "line 2: open codeword 1 is not at or below the least open "
+         "codeword 01"),
     ])
     def test_v3_exits_three_with_the_line(self, tmp_path, capsys, records,
                                           located):
+        # the refusals v3 located, at the same lines in v4, and those of a
+        # duplicate, a prefix and a level-0 codeword, which v4 locates too
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
-            f"{r}\n" for r in
-            ["open 01", "open 11", "open 21", "open 02", "open 12", "open 22",
-             *records]))
+        cp.write_text("checkpoint v4 mode=plain alpha=1/3\n"
+                      + "".join(f"{r}\n" for r in records))
         out = tmp_path / "found.cert"
         assert main(["search", "--alpha", "1/3", "--max-weight", "4",
                      "--checkpoint", str(cp), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: checkpoint {cp}: {located}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_two_open_roots_leave_the_other_four_open(self, tmp_path,
+                                                      reference_plain):
+        cp = tmp_path / "state"
+        cp.write_text("checkpoint v4 mode=plain alpha=1/3\nopen 01\nopen 11\n")
+        out = tmp_path / "found.cert"
+        assert main(["search", "--alpha", "1/3", "--max-weight", "4",
+                     "--checkpoint", str(cp), "--out", str(out)]) == 0
+        assert out.read_text() == reference_plain.to_text()
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
     def test_older_versions_are_refused_at_line_one(self, tmp_path, capsys,
                                                     version):
         # a search's output is a pure function of its inputs, so a file of
@@ -290,7 +306,7 @@ class TestResumeFromBadCheckpoint:
 
     def test_text_that_is_not_utf8_is_located(self, tmp_path, capsys):
         cp = tmp_path / "state"
-        cp.write_bytes(b"checkpoint v3 mode=plain alpha=1/3\nopen 01\n"
+        cp.write_bytes(b"checkpoint v4 mode=plain alpha=1/3\nopen 01\n"
                        b"open 1\xff\n")
         assert main(["search", "--alpha", "1/3", "--max-weight", "4",
                      "--checkpoint", str(cp)]) == 3

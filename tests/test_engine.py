@@ -6,7 +6,6 @@ import pytest
 from collatzcert import engine
 from collatzcert.certify import Certificate, Unclosed, verify
 from collatzcert.engine import (
-    CheckpointState,
     format_stats_csv,
     load_checkpoint,
     parse_checkpoint,
@@ -150,7 +149,7 @@ class TestCheckpoints:
         # 2 or less is decided and once at the end, so every closed entry
         # is written once and in canonical order
         cert, segments = _segments(tmp_path, Fraction(1, 3), 5, "strong")
-        assert segments[0] == "checkpoint v3 mode=strong alpha=1/3\n" + "".join(
+        assert segments[0] == "checkpoint v4 mode=strong alpha=1/3\n" + "".join(
             f"open {w}\n" for w in ("01", "11", "21", "02", "12", "22"))
         decisions = [line for s in segments[1:] for line in s.splitlines()]
         assert decisions == [f"closed {e.to_line()}" for e in cert.entries]
@@ -159,7 +158,7 @@ class TestCheckpoints:
         assert all(len(line.split()[1]) > 3 for s in segments[1:]
                    for line in s.splitlines()[1:])
         assert [hashlib.sha256(s.encode()).hexdigest() for s in segments] == [
-            "966d4a03b40d058d2aee0bcb13c54cb4bf1268284b61fbb49d90a07946365bd2",
+            "0755ab009f6d796385aa4c7f83689c507e4232a31953498519148f8cfcd528a5",
             "a73a11117948fef23b818d8b4292e42b4b76edd94a0fea421983d436dc199cb1",
             "1da421a1519bfedf984bdb9ab8a46335a1a78f792be5f805070ca387209784aa",
             "fcb07c964afe41cc59e309e22ad3017af68bfc4521f4c69e44ea7bf9087a4eb8",
@@ -196,9 +195,9 @@ class TestCheckpoints:
         # the straight run splits: each open codeword is tested at its own
         # level's depth cap
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
+        cp.write_text("checkpoint v4 mode=plain alpha=1/3\n" + "".join(
             f"open {w}\n"
-            for w in ("01", "02", "11", "12", "22", "021", "121", "221")))
+            for w in ("01", "11", "021", "121", "221", "02", "12", "22")))
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == reference_plain.to_text()
 
@@ -207,9 +206,9 @@ class TestCheckpoints:
         # 21 beside deeper codewords: at level 2's cap it would close with
         # ones-ratio 1/4; at its own cap it splits as in the straight run
         cp = tmp_path / "state"
-        cp.write_text("checkpoint v3 mode=plain alpha=1/3\n" + "".join(
+        cp.write_text("checkpoint v4 mode=plain alpha=1/3\n" + "".join(
             f"open {w}\n"
-            for w in ("02", "11", "12", "21", "22", "001", "101", "201")))
+            for w in ("001", "101", "201", "11", "21", "02", "12", "22")))
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert verify(resumed) == []
         expected = {e.codeword: e for e in reference_plain.entries
@@ -286,10 +285,10 @@ class TestSiblingGrowth:
 
 class TestGrowthCache:
     def test_shared_cache_changes_no_byte(self, monkeypatch):
-        # one cache through plain and strong runs: a group keeps two leaves
-        # in either mode, so the strong run regrows only the groups that
-        # hold fewer than two below a cap it goes past, and a repeated run
-        # grows nothing
+        # one cache through plain and strong runs at ratios that never
+        # fall, so caps never rise: a group grown once answers every later
+        # run, which grows only the groups it reaches first, and a
+        # repeated run grows nothing
         grown = []
         real_grow = engine.grow_children
 
@@ -300,22 +299,28 @@ class TestGrowthCache:
         cache = {}
         calls = []
         for alpha, weight, mode in [
-                (Fraction(1, 3), 4, "plain"), (Fraction(5, 14), 6, "plain"),
-                (Fraction(1, 3), 5, "strong"), (Fraction(5, 14), 6, "plain"),
-                (Fraction(1, 3), 5, "strong")]:
+                (Fraction(1, 3), 4, "plain"), (Fraction(1, 3), 5, "strong"),
+                (Fraction(5, 14), 6, "plain"), (Fraction(5, 14), 6, "plain")]:
             cold = run(alpha, weight, mode).to_text()
             grown.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "grow_children", grow)
                 assert run(alpha, weight, mode, cache=cache).to_text() == cold
             calls.append(len(grown))
-        assert calls == [5, 11, 12, 0, 0]
+        # cold, the three runs grow 5, 17 and 16 groups
+        assert calls == [5, 12, 5, 0]
         assert set(cache) >= {(1,), (2,)}
         # one record per parent, holding the key lists of its three children
         for record in cache.values():
             assert type(record) is GrowthRecord
             assert len(record.witnesses) == 3
             assert all(type(keys) is list for keys in record.witnesses)
+        # a run at a lower ratio asks the roots' records, grown at 5/14 for
+        # level 1's cap of 2, for its cap of 3
+        cache = {}
+        run(Fraction(5, 14), 6, "plain", cache=cache)
+        with pytest.raises(ValueError, match="cap 3 is past the record's cap 2"):
+            run(Fraction(1, 3), 4, "plain", cache=cache)
 
 
 class TestDepthFirst:
@@ -385,15 +390,6 @@ class TestStats:
     def test_reference_counts(self, reference_plain):
         assert stats(reference_plain) == [(1, 12), (2, 7), (3, 5), (4, 3)]
 
-    def test_initial_state_counts(self):
-        state = CheckpointState(
-            alpha=Fraction(1, 3),
-            mode="plain",
-            open_codewords=list(engine.INITIAL_CODEWORDS),
-            closed=[],
-        )
-        assert stats(state) == [(1, 6)]
-
     def test_counts_never_increase(self, reference_strong):
         rows = stats(reference_strong)
         counts = [n for _, n in rows]
@@ -402,10 +398,6 @@ class TestStats:
     def test_csv_format(self, reference_plain):
         csv = format_stats_csv(stats(reference_plain))
         assert csv == "level,count\n1,12\n2,7\n3,5\n4,3\n"
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            stats([1, 2, 3])
 
 
 class TestEdgeModes:

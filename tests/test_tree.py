@@ -93,15 +93,21 @@ class TestGrowthRecord:
         assert short.witnesses[digit] == []
         assert short.keys_within(digit, 3) == []
         assert short.keys_within(digit, 2) == []
-        assert short.keys_within(digit, 4) is None  # a deeper cap may find one
+        # a deeper cap may find a leaf the record does not hold
+        with pytest.raises(ValueError, match="cap 4 is past the record's cap 3"):
+            short.keys_within(digit, 4)
         one = grow_children(parent, 5)
         assert _paths(one.witnesses[digit]) == ["0001"]
         assert _paths(one.keys_within(digit, 5)) == ["0001"]
-        assert one.keys_within(digit, 6) is None    # or a second
         found = grow_children(parent, 10)
         assert _paths(found.witnesses[digit]) == ["0001", "000001"]
-        assert _paths(found.keys_within(digit, 40)) == ["0001", "000001"]
+        assert _paths(found.keys_within(digit, 10)) == ["0001", "000001"]
+        assert _paths(found.keys_within(digit, 5)) == ["0001"]
         assert found.keys_within(digit, 3) == []
+        # two keys are the first two leaves at any depth, but a record is
+        # still not asked past its cap
+        with pytest.raises(ValueError, match="past the record's cap 10"):
+            found.keys_within(digit, 40)
 
     @pytest.mark.parametrize("parent,cap,expanded,peak,keys", [
         # up to 9 digits the tables answer the whole group: nothing walked
