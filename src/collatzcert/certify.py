@@ -369,6 +369,7 @@ def search(
     mode: str = PLAIN,
     cache: dict | None = None,
     stop_at_stuck: bool = False,
+    carry: Certificate | None = None,
 ) -> SearchOutcome:
     """Greedy exhaustive search for a certificate at the given ratio.
 
@@ -377,12 +378,15 @@ def search(
     splitting it into its three one-digit extensions, until the code closes
     or a split would exceed max_weight.  With ``stop_at_stuck`` it stops at
     the first codeword stuck there, the least one, and reports only that
-    one.  Delegates scheduling and the argument checks to the engine.
+    one.  With ``carry``, an earlier search's certificate at a ratio no
+    higher, it decides again only the entries with a path below alpha,
+    and their descendants, and keeps the others (``engine.run``).
+    Delegates scheduling and the argument checks to the engine.
     """
     from . import engine
 
     return engine.run(alpha, max_weight, mode, cache=cache,
-                      stop_at_stuck=stop_at_stuck)
+                      stop_at_stuck=stop_at_stuck, carry=carry)
 
 
 def depth_cap(level: int, alpha: Fraction) -> int:
@@ -417,6 +421,18 @@ class SweepState:
     stuck codeword (``stop_at_stuck``), the least one, since every search
     runs depth first in canonical order: a level's failed search decides
     no codeword after it.
+    Each search carries the champion certificate, the level below's at a
+    level's first test (level 1 starts from the roots), and decides again
+    only its entries with a path below the test ratio, and their
+    descendants.  That is the same search, by monotonicity in alpha: for a
+    ratio t and a higher t', a codeword that closes at t' closes at t (the
+    witness is the same first leaf, and a companion found at t' is a
+    candidate at t), so what split at t splits at t'; and an entry closed
+    at t whose paths all have ratio t' or more is decided at t' with the
+    same paths (its first leaf is within the cap, and the least companion
+    at t is a candidate at t', whose candidates are among those at t).
+    The certificates of successive levels share the entry objects they
+    keep.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds one growth
     record for each group of siblings, keyed by their parent, and no record
@@ -449,7 +465,7 @@ class SweepState:
         while True:
             test = farey_successor(champion, depth_cap(l, champion))
             outcome = search(test, l, self.mode, cache=self.cache,
-                             stop_at_stuck=True)
+                             stop_at_stuck=True, carry=champ_cert)
             if isinstance(outcome, Unclosed):
                 break
             champion = outcome.min_ratio()

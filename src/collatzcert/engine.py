@@ -12,8 +12,8 @@ lookup's one record under the parent; the close decision reads a
 codeword's leaf keys from it and renders the ones it keeps as paths.
 Without a cache to share, a group's record is dropped as soon as its
 child ending in 2 is decided, so the memo holds the groups in hand, and
-at most one record per open codeword of a resumed group that lacks that
-child.  Splitting a codeword into its three one-digit extensions
+at most one record per open codeword of a resumed or carried group that
+lacks that child.  Splitting a codeword into its three one-digit extensions
 preserves the prefix-code property, which is asserted as an exact Kraft
 identity once per search.
 
@@ -283,6 +283,31 @@ def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
                            mode)
 
 
+def _carried(carry: Certificate, alpha: Fraction, mode: str,
+             max_weight: int) -> tuple[list, list[CertificateEntry]]:
+    """The codewords a search at ``alpha`` decides again, sorted, and the
+    entries it keeps, from the certificate of an earlier search (see
+    ``run``)."""
+    if carry.mode != mode:
+        raise ValueError(f"cannot carry a {carry.mode} certificate into a "
+                         f"{mode} search")
+    if carry.alpha > alpha:
+        raise ValueError(f"cannot carry a certificate at alpha={carry.alpha} "
+                         f"into a search at alpha={alpha}")
+    an, ad = alpha.numerator, alpha.denominator
+    start, closed = [], []
+    for e in carry.entries:
+        if e.level > max_weight:
+            raise ValueError(f"cannot carry entry {e.display} of weight "
+                             f"{e.level} into a search to max_weight "
+                             f"{max_weight}")
+        if any(p.count("1") * ad < an * len(p) for p in e.paths):
+            start.append(e.codeword)
+        else:
+            closed.append(e)
+    return sorted(start), closed
+
+
 def run(
     alpha: Fraction,
     max_weight: int,
@@ -290,6 +315,7 @@ def run(
     checkpoint_path: str | None = None,
     cache: dict | None = None,
     stop_at_stuck: bool = False,
+    carry: Certificate | None = None,
 ) -> SearchOutcome:
     """Run the certificate search, depth first in canonical codeword order.
 
@@ -299,13 +325,32 @@ def run(
     otherwise; with ``stop_at_stuck`` the search returns at the first
     stuck codeword, the least one, and reports only that one.  The result
     is a pure function of (alpha, mode, max_weight, stop_at_stuck): resume
-    points cannot change a single byte of it.
+    points and a carry cannot change a single byte of it.
 
     The checkpoint, if any, is written whole once, from the codewords the
     run starts from and the entries it carries over; then the decisions
     are appended in the order they are made, just before each codeword of
     level 2 or less is decided and once at the end.  Resumed, a codeword
     that was stuck is open again, so a larger ``max_weight`` continues it.
+
+    ``carry``, a certificate this search returned in the same mode, to
+    at most ``max_weight`` and at a ratio at most ``alpha`` (the sweep's
+    champion, labelled with its least path ratio, which is no lower),
+    starts the run as a resume would, when there is no checkpoint to
+    resume: the entries with a path of ratio below ``alpha`` are open
+    again, and every other entry is kept as closed, unreplayed.
+    Monotonicity in alpha makes that the same search, for a ratio t and
+    any higher t':
+    - a codeword that closes at t' closes at t, so one split at t is
+      split at t', as are the ancestors of every entry: caps only fall as
+      alpha rises, and the witness at t' is the same first leaf at t, with
+      a companion found at t' a candidate at t;
+    - an entry closed at t with every path of ratio t' or more is decided
+      at t' with the same paths: its first leaf (and in plain mode its one
+      path) is still within the cap, and the least companion at t is
+      still a candidate at t', whose candidates are a subset of those at t.
+    A carry in another mode, at a higher ratio or past ``max_weight`` is
+    refused with ValueError.
 
     Growth records are memoised by parent, one for each group of siblings:
     in ``cache`` when the caller passes one, to share them across searches
@@ -332,6 +377,8 @@ def run(
         _check_resumable(state, checkpoint_path)
         start = sorted([*state.open_codewords, *state.stuck])
         closed = state.closed
+    elif carry is not None:
+        start, closed = _carried(carry, alpha, mode, max_weight)
     log = None
     if checkpoint_path:
         save_checkpoint(CheckpointState(alpha, mode, start, closed),

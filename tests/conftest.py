@@ -50,11 +50,12 @@ def run_interrupted():
 @pytest.fixture
 def sweep_both_ways():
     """Sweep ``mode`` to level ``top`` and check every search it makes,
-    which stops at the first stuck codeword, against the same search run
-    to the end, sharing a cache of its own as the sweep shares one, and,
-    with ``cold``, stopping with no cache.  A certificate must have the
-    same text, and a report must hold the first codeword of the full
-    one.  Returns the number of searches."""
+    which stops at the first stuck codeword and carries the champion
+    certificate, against the same search run from the roots to the end,
+    sharing a cache of its own as the sweep shares one, and, with
+    ``cold``, stopping with no cache and no carry.  A certificate must
+    have the same text, and a report must hold the first codeword of the
+    full one.  Returns the number of searches."""
     def go(mode, top, cold=False):
         searches = []
         real = certify.search

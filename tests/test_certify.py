@@ -307,10 +307,13 @@ class TestSweep:
         assert sweep_both_ways(mode, top, cold=True) == searches
 
     @pytest.mark.parametrize("mode,top,decisions", [
-        ("plain", 10, 2247), ("strong", 8, 2218)])
+        ("plain", 10, 600), ("strong", 8, 840)])
     def test_close_decisions(self, monkeypatch, mode, top, decisions):
-        # each level's failed search stops at its first stuck codeword;
-        # run breadth first to the end, the same searches make 3681 and 3225
+        # each search carries the champion certificate and decides again
+        # only its entries with a path below the new ratio, and each
+        # level's failed search stops at its first stuck codeword; from
+        # the roots the same searches make 2247 and 2218, and run breadth
+        # first to the end 3681 and 3225
         calls = []
         real = engine._close_decision
 

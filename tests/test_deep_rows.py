@@ -1,9 +1,11 @@
 """Deep sweep rows, each pinned with the sha256 of its certificate's text,
-and the sweep's searches, which stop at their first stuck codeword,
-checked against the same searches run to the end at the benchmark's sizes.
+and the sweep's searches, which stop at their first stuck codeword and
+carry the champion certificate, checked against the same searches run
+from the roots to the end at the benchmark's sizes.
 
-The plain sweep to level 19 takes two to three minutes and the strong
-sweep to level 18 about half a minute, too long for the default run, so
+The plain sweep to level 19 takes about a minute and a half and the
+strong sweep to level 18 about twenty seconds, too long for the default
+run, so
 these run only with COLLATZCERT_DEEP=1 in the environment.
 """
 

@@ -2,9 +2,11 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collatzcert import engine
-from collatzcert.certify import Certificate, Unclosed, verify
+from collatzcert.certify import Certificate, Unclosed, depth_cap, verify
 from collatzcert.engine import (
     format_stats_csv,
     load_checkpoint,
@@ -384,6 +386,139 @@ class TestDepthFirst:
         assert decided == sorted(decided)
         assert sorted(grown) == sorted({c[:-1] for c in decided})
         assert len(decided) == 3 * len(grown)
+
+
+def _farey(n: int) -> list[Fraction]:
+    """The fractions of the Farey sequence of order n from 1/7 up to 1,
+    ascending."""
+    return sorted({Fraction(a, b) for b in range(2, n + 1)
+                   for a in range(1, b) if Fraction(a, b) >= Fraction(1, 7)})
+
+
+class TestCarry:
+    @pytest.mark.parametrize("mode,top,order", [("plain", 6, 14),
+                                                ("strong", 5, 14)])
+    def test_carried_searches_match_searches_from_the_roots(self, mode, top,
+                                                            order):
+        # up a Farey ladder at each level, each rung carries the certificate
+        # of the last rung that closed, and a level's first rung the
+        # certificate of the level below it at the same ratio; stopped or
+        # not, the outcome is the one from the six roots
+        below = None
+        carried = 0
+        for level in range(1, top + 1):
+            last = below
+            for i, alpha in enumerate(_farey(order)):
+                wide = run(alpha, level, mode)
+                for stop in (False, True):
+                    roots = wide if not stop else run(alpha, level, mode,
+                                                      stop_at_stuck=True)
+                    if last is not None:
+                        out = run(alpha, level, mode, stop_at_stuck=stop,
+                                  carry=last)
+                        assert out == roots, (level, alpha, stop)
+                        carried += 1
+                if isinstance(wide, Certificate):
+                    last = wide
+                    if i == 0:
+                        below = wide
+        assert carried > 50 * top
+
+    def test_carry_decides_only_entries_below_the_new_ratio(self,
+                                                            monkeypatch):
+        carry = run(Fraction(2, 7), 5, "strong")
+        alpha = Fraction(1, 3)
+        roots = run(alpha, 5, "strong")
+        assert isinstance(roots, Certificate)
+        low = {e.codeword for e in carry.entries
+               if any(Fraction(p.count("1"), len(p)) < alpha
+                      for p in e.paths)}
+        assert 0 < len(low) < carry.size
+        decided = []
+        real = engine._close_decision
+
+        def decide(codeword, *args):
+            decided.append(codeword)
+            return real(codeword, *args)
+
+        monkeypatch.setattr(engine, "_close_decision", decide)
+        out = run(alpha, 5, "strong", carry=carry)
+        assert out == roots
+        # each decided codeword is a low entry or a descendant of one
+        assert {c for c in decided if c in low} == low
+        assert all(any(c[:len(w)] == w for w in low) for c in decided)
+        # the entries it keeps are the carried objects themselves
+        kept = {id(e) for e in carry.entries} & {id(e) for e in out.entries}
+        assert len(kept) == carry.size - len(low)
+
+    def test_carry_is_written_to_the_checkpoint(self, tmp_path,
+                                                run_interrupted):
+        # segment 0 lists the kept entries closed and the codewords to
+        # decide again open, so a carried run stopped there resumes
+        # without the carry to the straight run's certificate
+        carry = run(Fraction(1, 3), 5, "plain")
+        straight = run(Fraction(5, 14), 5, "plain")
+        assert isinstance(straight, Certificate)
+        cp = tmp_path / "state"
+        run_interrupted(1, Fraction(5, 14), 5, "plain",
+                        checkpoint_path=str(cp), carry=carry)
+        state = load_checkpoint(cp)
+        kept = [e for e in carry.entries if e.paths[0].count("1") * 14
+                >= 5 * len(e.paths[0])]
+        assert state.closed == kept and state.stuck == []
+        assert sorted([*state.open_codewords, *(e.codeword for e in kept)]
+                      ) == [e.codeword for e in carry.entries]
+        resumed = run(Fraction(5, 14), 5, "plain", checkpoint_path=str(cp))
+        assert resumed == straight
+
+    @pytest.mark.parametrize("carry,alpha,weight,mode,message", [
+        ((Fraction(1, 3), 4, "plain"), Fraction(1, 3), 4, "strong",
+         "plain certificate into a strong search"),
+        ((Fraction(1, 3), 5, "strong"), Fraction(1, 3), 5, "plain",
+         "strong certificate into a plain search"),
+        ((Fraction(1, 3), 4, "plain"), Fraction(2, 7), 4, "plain",
+         "alpha=1/3 into a search at alpha=2/7"),
+        ((Fraction(1, 3), 4, "plain"), Fraction(1, 3), 3, "plain",
+         "weight 4 into a search to max_weight 3"),
+    ])
+    def test_refuses_a_carry_it_cannot_extend(self, monkeypatch, carry, alpha,
+                                              weight, mode, message):
+        cert = run(*carry)
+        monkeypatch.setattr(engine, "_close_decision", None)
+        with pytest.raises(ValueError, match=message):
+            run(alpha, weight, mode, carry=cert)
+
+
+_CODEWORD = st.tuples(st.sampled_from((1, 2)),
+                      st.lists(st.sampled_from((0, 1, 2)), min_size=1,
+                               max_size=7)).map(lambda t: (t[0], *t[1]))
+_RATIO = st.builds(lambda b, a: Fraction(a % (b - 1) + 1, b),
+                   st.integers(2, 16), st.integers(0, 15))
+_RATIOS = st.lists(_RATIO, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def _decision(c, alpha, mode):
+    caps = [depth_cap(level, alpha) for level in range(len(c))]
+    return engine._decide(c, {}, caps, alpha, mode)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_CODEWORD, _RATIOS, st.sampled_from(("plain", "strong")))
+# strong above 1/2: a pair of leaves, and a leaf with its companion, kept
+@example((2, 0, 2, 0), [Fraction(1, 3), Fraction(4, 7)], "strong")
+@example((2, 0, 2, 1), [Fraction(5, 9), Fraction(3, 5)], "strong")
+@example((2, 2, 1), [Fraction(1, 3), Fraction(3, 5)], "strong")
+def test_decisions_are_monotone_in_alpha(c, ratios, mode):
+    # with t < u: a codeword that closes at u closes at t, and one that
+    # closes at t with paths all of ratio u or more closes with the same
+    # paths at u
+    t, u = ratios
+    low, high = _decision(c, t, mode), _decision(c, u, mode)
+    if high is not None:
+        assert low is not None
+    if low is not None and all(p.count("1") * u.denominator
+                               >= u.numerator * len(p) for p in low):
+        assert high == low
 
 
 class TestStats:
