@@ -5,8 +5,7 @@ from the roots to the end at the benchmark's sizes.
 
 The plain sweep to level 19 takes about a minute and a half and the
 strong sweep to level 18 about twenty seconds, too long for the default
-run, so
-these run only with COLLATZCERT_DEEP=1 in the environment.
+run, so these run only with COLLATZCERT_DEEP=1 in the environment.
 """
 
 import hashlib
