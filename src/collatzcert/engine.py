@@ -9,11 +9,13 @@ and the closed entries come in canonical order.  The trees of a group of
 siblings are grown in one lookup of their parent's tree (three table
 reads up to level 9, one walk above it), and the memo holds that
 lookup's one record under the parent; the close decision reads a
-codeword's leaf keys from it and renders the ones it keeps as paths.
-Without a cache to share, a group's record is dropped as soon as its
-child ending in 2 is decided, so the memo holds the groups in hand, and
-at most one record per open codeword of a resumed or carried group that
-lacks that child.  Splitting a codeword into its three one-digit extensions
+codeword's leaf keys from it and renders the ones it keeps as paths, and
+the strong companion reads those of the codeword's ancestors from their
+parents' records.  Without a cache to share, a group's record is dropped
+once the subtree of its child ending in 2 is decided, so the memo holds
+the groups on the branch in hand; a resumed or carried run, which need
+not decide that child, may keep at most a branch for each codeword it
+starts from.  Splitting a codeword into its three one-digit extensions
 preserves the prefix-code property, which is asserted as an exact Kraft
 identity once per search.
 
@@ -51,7 +53,7 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
-from .tree import find_companion, grow_children, key_path
+from .tree import GrowthRecord, grow_children, key_path
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
@@ -216,27 +218,75 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
     return "level,count\n" + "".join(f"{lv},{n}\n" for lv, n in rows)
 
 
-def _close_decision(
-    codeword: tuple[int, ...], wits: list[int], cap: int,
-    alpha: Fraction, mode: str,
-) -> tuple[str, ...] | None:
+def _record(memo: dict, parent: tuple[int, ...],
+            caps: list[int]) -> GrowthRecord:
+    """A parent's record from the memo, or grown at its children's cap."""
+    record = memo.get(parent)
+    if record is None:
+        record = memo[parent] = grow_children(parent, caps[len(parent)])
+    return record
+
+
+def _close_decision(codeword: tuple[int, ...], wits: list[int], memo: dict,
+                    caps: list[int], mode: str) -> tuple[str, ...] | None:
     """Paths that close this codeword at this ratio, or None to split.
 
     ``wits`` are the keys of its first full-weight leaves within the cap.
     Plain mode closes on the first.  Strong mode needs two such leaves, or
     one leaf plus the canonically least lighter path of ones-ratio >= alpha
-    that is not a prefix of it.
+    that is not a prefix of it, which the memo's records give.
     """
     if mode == PLAIN:
         return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
         return (key_path(wits[0]), key_path(wits[1]))
     if len(wits) == 1:
-        companion = find_companion(codeword, cap, alpha, wits[0])
+        companion = find_companion(codeword, memo, caps, wits[0])
         if companion is not None:
             # key order is canonical order
             return tuple(key_path(k) for k in sorted((wits[0], companion)))
     return None
+
+
+def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
+                   witness_key: int) -> int | None:
+    """Canonically least path of weight < l with ones-ratio >= alpha.
+
+    Returns the key of the smallest (depth, lex) node of weight w in 1..l-1
+    and depth at most ``caps[w]`` that is not a prefix of the witness leaf
+    whose key is ``witness_key``, or None.  Down to weight w a codeword's
+    tree has the shape of the tree of its first w+1 digits, so the first
+    weight-w nodes are that prefix's first two leaves, from the record the
+    search split it with (grown by ``_record`` if missing, as on a resume).
+    The first may lie on the witness path, and then so may some of its
+    0-edge chain.  A candidate is taken only below the limit, at most the
+    best so far, and a pad is the limit itself.
+
+    The nodes searched are those of the unpruned tree.  For alpha <= 1/2
+    the first qualifying one is also the first of the pruned tree, so that
+    is the answer there; above 1/2, where pruning is not known to keep every
+    candidate, the answer is the first qualifying node of the unpruned tree.
+    """
+    wd = witness_key.bit_length() - 1
+    unset = best = 1 << (caps[len(codeword) - 1] + 1)
+    for w in range(1, len(codeword) - 1):
+        # a weight-w node is w 1-edges deep at least
+        if best < (2 << w) - 1:
+            break
+        cap = caps[w]
+        limit = min(best, 1 << (cap + 1))   # keys of depth <= cap lie below
+        keys = _record(memo, codeword[:w], caps).keys_within(codeword[w], cap)
+        first, second = [*keys, limit, limit][:2]
+        d = first.bit_length() - 1
+        if d < wd and witness_key >> (wd - d) == first:
+            # the witness runs on along first's 0-edge chain for ``zeros``
+            # edges; the next node of that chain is the first one off its
+            # path, and the second leaf is off it too
+            zeros = wd - d - (witness_key & ((1 << (wd - d)) - 1)).bit_length()
+            first = min(first << (zeros + 1), second)
+        if first < limit:
+            best = first
+    return None if best == unset else best
 
 
 class _KraftLedger:
@@ -268,19 +318,13 @@ def _check_resumable(state: CheckpointState, path) -> None:
 
 
 def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
-            alpha: Fraction, mode: str) -> tuple[str, ...] | None:
+            mode: str) -> tuple[str, ...] | None:
     """The close decision for one codeword, at its own level's cap, from
-    its parent's record in the memo, grown there when there is none:
-    siblings share a level and so a cap, so a record grown for one of them
-    answers all three.  A record is never asked past its cap, within one
-    search or across the sweep's (see ``SweepState``)."""
-    cap = caps[len(c) - 1]
-    parent = c[:-1]
-    record = memo.get(parent)
-    if record is None:
-        record = memo[parent] = grow_children(parent, cap)
-    return _close_decision(c, record.keys_within(c[-1], cap), cap, alpha,
-                           mode)
+    its parent's record (``_record``): siblings share a level and so a cap,
+    so one record answers all three.  A record is never asked past its cap,
+    within one search or across the sweep's (see ``SweepState``)."""
+    wits = _record(memo, c[:-1], caps).keys_within(c[-1], caps[len(c) - 1])
+    return _close_decision(c, wits, memo, caps, mode)
 
 
 def _carried(carry: Certificate, alpha: Fraction, mode: str,
@@ -394,21 +438,24 @@ def run(
         if log and len(c) <= 3:
             save_checkpoint(log, checkpoint_path)
             log = []
-        paths = _decide(c, memo, caps, alpha, mode)
-        if cache is None and c[-1] == 2:
-            del memo[c[:-1]]
+        paths = _decide(c, memo, caps, mode)
         if paths is not None:
             closed.append(CertificateEntry(codeword=c, paths=paths))
             if log is not None:
                 log.append(closed[-1])
         elif len(c) - 1 < max_weight:
             todo.extend(c + (d,) for d in (2, 1, 0))
+            continue
         else:
             stuck.append(c)
             if log is not None:
                 log.append(c)
             if stop_at_stuck:
                 break
+        # c's subtree is decided, and so is each ancestor's that it ends
+        while cache is None and len(c) > 1 and c[-1] == 2:
+            c = c[:-1]
+            memo.pop(c, None)
     if log:
         save_checkpoint(log, checkpoint_path)
 

@@ -5,15 +5,16 @@ grown by the pruned inverse map.  Each 1-edge costs one level of modulus
 knowledge, so a node known mod 3^m carries implicit path weight l+1-m; a node
 reaching weight l (m=1) is frozen as a witness leaf.  Growth is a search
 for the first two witness leaves: what lies below a node depends only on
-its class mod 3^m, and a leaf is at least m-1 edges below it.  Every query
-the search makes is one call of ``_leaves``, which merges leaves into a
-two-slot pair, ascending and padded with the query's key limit, so the
-worst key kept is always the pair's second slot.  The first two leaves
-below every class with m <= 10 are held in tables that all growths share;
-a coarser node is walked depth-first along its 0-edge chain, each 1-edge
-child being walked in turn or read from its table.  So a growth holds what
-a table slot holds, the first two leaves, cut at its cap; plain mode reads
-the first, strong mode both.  Only the growth record drops the pads.
+its class mod 3^m, and a leaf is at least m-1 edges below it.  Every
+growth the search makes is one ``grow_children``, whose ``_leaves`` merges
+leaves into three two-slot pairs, ascending and padded with the growth's
+key limit, so the worst key kept is always a pair's second slot.  The
+first two leaves below every class with m <= 10 are held in tables that
+all growths share; a coarser node is walked depth-first along its 0-edge
+chain, each 1-edge child being walked in turn or read from its table.  So
+a growth holds what a table slot holds, the first two leaves, cut at its
+cap: plain mode reads the first, strong mode both, and the companion those
+of a codeword's prefixes.  Only the growth record drops the pads.
 
 Table m is built whole from table m-1 the first time a growth needs it:
 the leaves below a class are those below its 0-edge child, one edge
@@ -171,13 +172,13 @@ def _leaves(v: int, m: int, key: int, bests, bound: int,
     ``bests``, and return the key a leaf must now beat to be kept.
 
     ``bests[d]`` pairs the two smallest leaf keys found so far, ascending
-    and padded with the caller's key limit, of the tree in which the node
-    has the class v + d·2^D·3^(m-1) mod 3^m, D being its depth: one pair
-    serves one tree, three serve three siblings at once.  A leaf is kept
-    only if it beats its pair's second slot, so no pad is ever kept as a
-    key.  ``bound`` is the largest second slot, the key a leaf must beat to
-    be kept in any pair.  The tables answer a node known mod 3^m with
-    2 <= m <= TABLE_MAX_EXPONENT, and a coarser one is walked.
+    and padded with the growth's key limit, of the tree of sibling d, in
+    which the node has the class v + d·2^D·3^(m-1) mod 3^m, D being its
+    depth.  A leaf is kept only if it beats its pair's second slot, so no
+    pad is ever kept as a key.  ``bound`` is the largest second slot, the
+    key a leaf must beat to be kept in any pair.  The tables answer a node
+    known mod 3^m with 2 <= m <= TABLE_MAX_EXPONENT, and a coarser one is
+    walked.
     """
     if m > TABLE_MAX_EXPONENT:
         return _walk(v, m, key, bests, bound, stats)
@@ -298,55 +299,6 @@ def _build_table(m: int) -> array:
     return table
 
 
-def find_companion(
-    codeword: tuple[int, ...],
-    cap: int,
-    alpha: Fraction,
-    witness_key: int,
-) -> int | None:
-    """Canonically least path of weight < l with ones-ratio >= alpha.
-
-    Returns the key of the smallest (depth, lex) node of depth at most
-    ``cap`` and weight w in 1..l-1 with w/depth >= alpha that is not a
-    prefix of the witness leaf whose key is ``witness_key``, or None.  Down
-    to weight w a codeword's tree has the shape of the tree of its first
-    w+1 digits, so the first weight-w nodes are that prefix's first two
-    leaves, which ``_leaves`` gives from a table or a walk in a pair padded
-    with the weight's key limit; the first may lie on the witness path, and
-    then so may some of its 0-edge chain.  A candidate is taken only below
-    that limit, which is at most the best found so far, so no pad is.
-
-    The nodes searched are those of the unpruned tree.  For alpha <= 1/2
-    the first qualifying one is also the first of the pruned tree, so that
-    is the answer there; above 1/2, where pruning is not known to keep every
-    candidate, the answer is the first qualifying node of the unpruned tree.
-    """
-    wd = witness_key.bit_length() - 1
-    an, ad = alpha.numerator, alpha.denominator
-    unset = best = 1 << (cap + 1)         # keys of depth <= cap lie below
-    v = codeword[0]
-    for w in range(1, len(codeword) - 1):
-        # a weight-w node is w 1-edges deep at least
-        if best < (2 << w) - 1:
-            break
-        v += codeword[w] * POW3[w]
-        limit = min(best, 1 << (min(cap, w * ad // an) + 1))
-        leaves = [limit, limit]
-        _leaves(v, w + 1, 1, (leaves,), limit, [0, w + 1])
-        first, second = leaves
-        d = first.bit_length() - 1
-        if d < wd and witness_key >> (wd - d) == first:
-            # the witness runs on along first's 0-edge chain for ``zeros``
-            # edges; the next node of that chain is the first one off its
-            # path, and the second leaf is off it too
-            zeros = wd - d - (witness_key & ((1 << (wd - d)) - 1)).bit_length()
-            first = min(first << (zeros + 1), second)
-        # a pad is the limit itself, and never beats it
-        if first < limit:
-            best = first
-    return None if best == unset else best
-
-
 class ResidueNode(NamedTuple):
     """One grown node: residue class, depth, and the packed path that
     reached it."""
@@ -376,8 +328,8 @@ def walk_nodes(codeword, depth_cap: int, stop_at_witnesses: int | None = 1,
     total; None walks to the cap regardless.  The root of a level-0
     codeword already has weight l, so it is the whole walk.  It serves the
     tree dump, the best ratios of stuck codewords, the structure census and,
-    in the tests, the reference for grow_record, find_companion and the
-    integer trees.
+    in the tests, the reference for grow_record, ``engine.find_companion``
+    and the integer trees.
     """
     c = check_codeword(codeword)
     if c[0] == 0:

@@ -1,12 +1,20 @@
 import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collatzcert import engine
-from collatzcert.certify import Certificate, Unclosed, depth_cap, verify
+from collatzcert import engine, tree
+from collatzcert.certify import (
+    Certificate,
+    SweepState,
+    Unclosed,
+    depth_cap,
+    verify,
+)
 from collatzcert.engine import (
     format_stats_csv,
     load_checkpoint,
@@ -284,6 +292,37 @@ class TestSiblingGrowth:
         resumed = run(Fraction(5, 14), 6, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == straight.to_text()
 
+    def test_every_tree_lookup_is_a_growth(self, tmp_path, monkeypatch):
+        # the close decision and the strong companion read growth records,
+        # so the tree is looked up only by grow_children and its walks:
+        # fresh, along the strong sweep, and resumed, where the companion
+        # grows the records of the ancestors the resumed run never split
+        straight = run(Fraction(1, 3), 5, "strong")
+        cp = tmp_path / "state"
+        assert isinstance(run(Fraction(1, 3), 4, "strong",
+                              checkpoint_path=str(cp)), Unclosed)
+        callers, companions = Counter(), []
+        real_leaves, real_companion = tree._leaves, engine.find_companion
+
+        def leaves(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real_leaves(*args)
+
+        def companion(*args):
+            companions.append(args[0])
+            return real_companion(*args)
+
+        monkeypatch.setattr(tree, "_leaves", leaves)
+        monkeypatch.setattr(engine, "find_companion", companion)
+        assert run(Fraction(1, 3), 5, "strong") == straight
+        SweepState(mode="strong").level(8)
+        companions.clear()
+        assert run(Fraction(1, 3), 5, "strong",
+                   checkpoint_path=str(cp)) == straight
+        assert companions
+        assert callers["grow_children"]
+        assert set(callers) <= {"grow_children", "_walk"}
+
 
 class TestGrowthCache:
     def test_shared_cache_changes_no_byte(self, monkeypatch):
@@ -364,11 +403,17 @@ class TestDepthFirst:
                           stop_at_stuck=stop)
             assert resumed == straight
 
-    def test_canonical_order_grows_each_group_once(self, monkeypatch):
-        # without a cache a group's record is kept until its last child is
-        # decided, across the branches below its first children
-        grown, decided = [], []
+    @pytest.mark.parametrize("alpha,weight,mode", [
+        (Fraction(5, 14), 6, "plain"), (Fraction(1, 3), 5, "strong")],
+        ids=["plain", "strong"])
+    def test_canonical_order_grows_each_group_once(self, monkeypatch, alpha,
+                                                   weight, mode):
+        # without a cache a group's record is kept until the subtree of its
+        # last child is decided, across the branches below its first
+        # children, so the strong companion finds every ancestor's record
+        grown, decided, companions = [], [], []
         real_grow, real_decide = engine.grow_children, engine._close_decision
+        real_companion = engine.find_companion
 
         def grow(parent, cap):
             grown.append(parent)
@@ -378,14 +423,20 @@ class TestDepthFirst:
             decided.append(codeword)
             return real_decide(codeword, *args)
 
+        def companion(*args):
+            companions.append(args[0])
+            return real_companion(*args)
+
         monkeypatch.setattr(engine, "grow_children", grow)
         monkeypatch.setattr(engine, "_close_decision", decide)
-        out = run(Fraction(5, 14), 6, "plain", stop_at_stuck=True)
+        monkeypatch.setattr(engine, "find_companion", companion)
+        out = run(alpha, weight, mode, stop_at_stuck=True)
         assert [e.codeword for e in out.entries] == sorted(
             e.codeword for e in out.entries)
         assert decided == sorted(decided)
         assert sorted(grown) == sorted({c[:-1] for c in decided})
         assert len(decided) == 3 * len(grown)
+        assert bool(companions) == (mode == "strong")
 
 
 def _farey(n: int) -> list[Fraction]:
@@ -499,7 +550,7 @@ _RATIOS = st.lists(_RATIO, min_size=2, max_size=2, unique=True).map(sorted)
 
 def _decision(c, alpha, mode):
     caps = [depth_cap(level, alpha) for level in range(len(c))]
-    return engine._decide(c, {}, caps, alpha, mode)
+    return engine._decide(c, {}, caps, mode)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

@@ -3,7 +3,7 @@
 ``walk_nodes`` enumerates the pruned tree level by level in (depth, lex)
 order, so the first two full-weight leaves it yields within a cap and the
 first qualifying node it yields are what ``grow_record`` and
-``find_companion`` must return.
+``engine.find_companion`` must return.
 The codewords are every one of length at most 6 and seeded samples at
 levels 10..15, whose roots lie above the exponent-10 leaf tables and whose
 subtrees reach into them.  ``grow_children`` is held to the walk of each
@@ -23,11 +23,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from collatzcert import tree
-from collatzcert.numth import POW3, codeword_from_display, codeword_of_int
+from collatzcert.certify import depth_cap
+from collatzcert.engine import find_companion
+from collatzcert.numth import (
+    MAX_CODEWORD_LEN,
+    POW3,
+    codeword_from_display,
+    codeword_of_int,
+)
 from collatzcert.tree import (
     TABLE_MAX_EXPONENT,
     best_ratio,
-    find_companion,
     grow_children,
     grow_record,
     key_path,
@@ -92,7 +98,10 @@ def _compare(codewords, alphas_of):
             if not leaves:
                 leafless += 1
             if len(leaves) == 1:
-                got = find_companion(c, cap, alpha, leaves[0])
+                # a fresh memo, so the companion grows every prefix's record
+                caps = [depth_cap(level, alpha)
+                        for level in range(MAX_CODEWORD_LEN + 1)]
+                got = find_companion(c, {}, caps, leaves[0])
                 expected = _walk_companion(c, cap, alpha, leaves[0],
                                            prune=2 * alpha <= 1)
                 assert got == expected, (c, cap, alpha)

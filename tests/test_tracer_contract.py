@@ -36,6 +36,10 @@ def test_tracer_installs_on_the_package_and_restores_it():
         assert isinstance(out, Certificate)
         assert tracer.counts["decisions"] > 0
         assert traced.layer_metrics(tracer)["engine.decisions"] > 0
+        # a strong search goes through the wrapped companion
+        assert isinstance(engine.run(Fraction(1, 3), 5, "strong"),
+                          Certificate)
+        assert traced.layer_metrics(tracer)["engine.companion_calls"] > 0
     finally:
         assert tracer.restore() == []
     assert swapped

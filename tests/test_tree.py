@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from collatzcert.numth import POW3, codeword_from_display, codeword_of_int, t_map
+from collatzcert.certify import depth_cap
+from collatzcert.engine import find_companion
+from collatzcert.numth import (
+    MAX_CODEWORD_LEN,
+    POW3,
+    codeword_from_display,
+    codeword_of_int,
+    t_map,
+)
 from collatzcert.tree import (
     GrowthRecord,
     count_structures,
-    find_companion,
     grow_children,
     grow_record,
     key_path,
@@ -148,6 +155,12 @@ class TestConservation:
         assert keys == sorted(keys)
 
 
+def _companion(c, alpha, witness):
+    """The companion with a fresh memo and the search's caps at alpha."""
+    caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
+    return find_companion(c, {}, caps, witness)
+
+
 class TestCompanions:
     def test_known_fallback_rows(self):
         cases = {
@@ -159,7 +172,7 @@ class TestCompanions:
             c = codeword_from_display(display)
             keys = grow_record(c, cap)
             assert len(keys) == 1
-            got = find_companion(c, cap, Fraction(1, 3), keys[0])
+            got = _companion(c, Fraction(1, 3), keys[0])
             assert got is not None
             assert key_path(got) == expected
 
@@ -167,7 +180,7 @@ class TestCompanions:
         c = codeword_from_display("011")
         keys = grow_record(c, 6)
         assert _paths(keys) == ["01001"]
-        assert find_companion(c, 6, Fraction(1, 3), keys[0]) is None
+        assert _companion(c, Fraction(1, 3), keys[0]) is None
 
     def test_answers_above_half(self):
         # above ratio 1/2 pruning is not known to keep every candidate, so
@@ -178,7 +191,7 @@ class TestCompanions:
             cap = (len(c) - 1) * 5 // 3
             keys = grow_record(c, cap)
             assert _paths(keys) == [witness]
-            got = find_companion(c, cap, Fraction(3, 5), keys[0])
+            got = _companion(c, Fraction(3, 5), keys[0])
             assert key_path(got) == expected
 
 
