@@ -7,7 +7,8 @@ pruned tree of the named residue class with ones-ratio at least alpha.  The
 verifier only replays the given paths; it shares no growth code with the
 search.  Its per-entry work is the replay itself: an entry's display is
 rendered only to label a violation, and the Kraft sum is counted in
-integers, with a Fraction built only to word a failure.
+integers, with a Fraction built only to word a failure.  That count,
+``kraft_mismatch``, is the search's own Kraft check as well.
 """
 
 from __future__ import annotations
@@ -208,12 +209,22 @@ def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> lis
     return [Violation(disp, i, position, reason) for i, position, reason in found]
 
 
+def kraft_mismatch(codewords) -> Fraction | None:
+    """None when the codewords' Kraft sum with the reserved word (0) is
+    exactly 1, and that sum otherwise.
+
+    The sum is counted in units of 3^-L, L the longest length, so it stays
+    in integers; a Fraction is built only for a sum that is not 1."""
+    per_length = Counter(map(len, codewords))
+    top = max([1, *per_length])
+    units = POW3[top - 1] + sum(n * POW3[top - length]
+                                for length, n in per_length.items())
+    return None if units == POW3[top] else Fraction(units, POW3[top])
+
+
 def code_violations(codewords: list[tuple[int, ...]]) -> list[Violation]:
     """Whole-code checks: no codeword listed twice or a prefix of another,
-    and a Kraft sum of exactly 1 together with the reserved word (0).
-
-    The Kraft sum is counted in units of 3^-L, L the longest length, so it
-    stays in integers; a Fraction is built only to word a failure."""
+    and a Kraft sum of exactly 1 together with the reserved word (0)."""
     out: list[Violation] = []
     seen: set[tuple[int, ...]] = set()
     for c in codewords:
@@ -227,12 +238,8 @@ def code_violations(codewords: list[tuple[int, ...]]) -> list[Violation]:
                 codeword_display(a), None, None,
                 f"prefix of fellow codeword {codeword_display(b)}"))
 
-    per_length = Counter(map(len, codewords))
-    top = max([1, *per_length])
-    units = POW3[top - 1] + sum(n * POW3[top - length]
-                                for length, n in per_length.items())
-    if units != POW3[top]:
-        total = Fraction(units, POW3[top])
+    total = kraft_mismatch(codewords)
+    if total is not None:
         out.append(Violation(
             None, None, None,
             f"Kraft sum {total - Fraction(1, 3)} + 1/3 = {total} != 1 (code not exhaustive)"))
@@ -278,14 +285,13 @@ def whole_lines(text: str) -> list[str]:
     return lines[:-1]
 
 
-def parse_records(lines: list[str], kind: str, parse_record,
-                  version: str = "v1") -> tuple:
+def parse_records(lines: list[str], kind: str, read_record,
+                  version: str = "v1") -> tuple[str, Fraction]:
     """The line loop both file formats share: blank and ``#`` lines
-    skipped, the ``kind`` header of ``version`` first, then one record per
-    line read by ``parse_record``.  Every error is located as
-    ``line N: ...``.  Returns (mode, alpha, records)."""
+    skipped, the ``kind`` header of ``version`` first, then each record
+    line passed to ``read_record``.  Every error is located as
+    ``line N: ...``.  Returns the header's (mode, alpha)."""
     header = None
-    records = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -294,18 +300,19 @@ def parse_records(lines: list[str], kind: str, parse_record,
             if header is None:
                 header = parse_header(line, kind, version)
             else:
-                records.append(parse_record(line))
+                read_record(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if header is None:
         raise ValueError(f"line 1: missing {kind} header")
-    return (*header, records)
+    return header
 
 
 def parse_certificate(text: str) -> Certificate:
     """Parse the line-oriented certificate format; errors carry line numbers."""
-    mode, alpha, entries = parse_records(whole_lines(text), "certificate",
-                                         parse_entry)
+    entries: list[CertificateEntry] = []
+    mode, alpha = parse_records(whole_lines(text), "certificate",
+                                lambda line: entries.append(parse_entry(line)))
     return Certificate(alpha=alpha, mode=mode, entries=entries)
 
 

@@ -17,7 +17,7 @@ the groups on the branch in hand; a resumed or carried run, which need
 not decide that child, may keep at most a branch for each codeword it
 starts from.  Splitting a codeword into its three one-digit extensions
 preserves the prefix-code property, which is asserted as an exact Kraft
-identity once per search.
+identity, by the verifier's count, once per search.
 
 A run with a checkpoint writes the file whole once, as segment 0: the
 entries it carries over and the codewords it starts from, in canonical
@@ -49,10 +49,11 @@ from .certify import (
     decode_text,
     depth_cap,
     entry_violations,
+    kraft_mismatch,
     parse_entry,
     parse_records,
 )
-from .numth import MAX_CODEWORD_LEN, POW3, codeword_display, codeword_from_display
+from .numth import MAX_CODEWORD_LEN, codeword_display, codeword_from_display
 from .tree import GrowthRecord, grow_children, key_path
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
@@ -159,8 +160,7 @@ def parse_checkpoint(text: str) -> CheckpointState:
     listed in the order the file lists them.
     """
     log = _DecisionLog()
-    mode, alpha, _ = parse_records(text.split("\n")[:-1], "checkpoint", log,
-                                   "v4")
+    mode, alpha = parse_records(text.split("\n")[:-1], "checkpoint", log, "v4")
     return CheckpointState(alpha=alpha, mode=mode,
                            open_codewords=sorted([*log.opened, *log.todo]),
                            closed=log.closed, stuck=log.stuck)
@@ -209,9 +209,12 @@ def save_checkpoint(record: CheckpointState | list, path) -> None:
 def stats(cert: Certificate) -> list[tuple[int, int]]:
     """Per-level population of a certificate: entries of level >= l', for
     each l'."""
-    levels = [e.level for e in cert.entries]
-    top = max(levels, default=0)
-    return [(lv, sum(1 for x in levels if x >= lv)) for lv in range(1, top + 1)]
+    at = Counter(e.level for e in cert.entries)
+    rows, count = [], 0
+    for lv in range(max(at, default=0), 0, -1):
+        count += at[lv]
+        rows.append((lv, count))
+    return rows[::-1]
 
 
 def format_stats_csv(rows: list[tuple[int, int]]) -> str:
@@ -289,23 +292,6 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
     return None if best == unset else best
 
 
-class _KraftLedger:
-    """Exact Kraft sum over a search's codewords and the reserved word (0)."""
-
-    def __init__(self):
-        # scale everything by 3^(MAX_CODEWORD_LEN + 1) to stay in integers
-        self.scale = POW3[MAX_CODEWORD_LEN + 1]
-        self.total = self.scale // 3          # the reserved word (0)
-
-    def add(self, length: int) -> None:
-        self.total += self.scale // POW3[length]
-
-    def assert_exhaustive(self) -> None:
-        if self.total != self.scale:
-            raise AssertionError(
-                f"Kraft invariant broken: sum = {Fraction(self.total, self.scale)}")
-
-
 def _check_resumable(state: CheckpointState, path) -> None:
     """Refuse a checkpoint whose closed entries would not verify at its
     ratio and mode.  The loader has already refused every record out of
@@ -327,8 +313,8 @@ def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
     return _close_decision(c, wits, memo, caps, mode)
 
 
-def _carried(carry: Certificate, alpha: Fraction, mode: str,
-             max_weight: int) -> tuple[list, list[CertificateEntry]]:
+def _carried(carry: Certificate, alpha: Fraction,
+             mode: str) -> tuple[list, list[CertificateEntry]]:
     """The codewords a search at ``alpha`` decides again, sorted, and the
     entries it keeps, from the certificate of an earlier search (see
     ``run``)."""
@@ -341,10 +327,6 @@ def _carried(carry: Certificate, alpha: Fraction, mode: str,
     an, ad = alpha.numerator, alpha.denominator
     start, closed = [], []
     for e in carry.entries:
-        if e.level > max_weight:
-            raise ValueError(f"cannot carry entry {e.display} of weight "
-                             f"{e.level} into a search to max_weight "
-                             f"{max_weight}")
         if any(p.count("1") * ad < an * len(p) for p in e.paths):
             start.append(e.codeword)
         else:
@@ -369,7 +351,11 @@ def run(
     otherwise; with ``stop_at_stuck`` the search returns at the first
     stuck codeword, the least one, and reports only that one.  The result
     is a pure function of (alpha, mode, max_weight, stop_at_stuck): resume
-    points and a carry cannot change a single byte of it.
+    points and a carry cannot change a single byte of it.  A search from
+    the roots splits no codeword of weight ``max_weight``, so one that a
+    resume or a carry starts from or keeps past it is refused with
+    ValueError, naming the codeword and both weights (and the checkpoint,
+    for a resume), before anything is decided or written.
 
     The checkpoint, if any, is written whole once, from the codewords the
     run starts from and the entries it carries over; then the decisions
@@ -393,8 +379,8 @@ def run(
       at t' with the same paths: its first leaf (and in plain mode its one
       path) is still within the cap, and the least companion at t is
       still a candidate at t', whose candidates are a subset of those at t.
-    A carry in another mode, at a higher ratio or past ``max_weight`` is
-    refused with ValueError.
+    A carry in another mode or at a higher ratio is refused with
+    ValueError.
 
     Growth records are memoised by parent, one for each group of siblings:
     in ``cache`` when the caller passes one, to share them across searches
@@ -411,7 +397,8 @@ def run(
 
     start: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
+    if resumed:
         state = load_checkpoint(checkpoint_path)
         if state.alpha != alpha or state.mode != mode:
             raise ValueError(
@@ -422,7 +409,13 @@ def run(
         start = sorted([*state.open_codewords, *state.stuck])
         closed = state.closed
     elif carry is not None:
-        start, closed = _carried(carry, alpha, mode, max_weight)
+        start, closed = _carried(carry, alpha, mode)
+    top = max([*start, *(e.codeword for e in closed)], key=len, default=())
+    if len(top) - 1 > max_weight:
+        source = f"checkpoint {checkpoint_path}: " if resumed else ""
+        raise ValueError(f"{source}cannot carry codeword "
+                         f"{codeword_display(top)} of weight {len(top) - 1} "
+                         f"into a search to max_weight {max_weight}")
     log = None
     if checkpoint_path:
         save_checkpoint(CheckpointState(alpha, mode, start, closed),
@@ -459,10 +452,9 @@ def run(
     if log:
         save_checkpoint(log, checkpoint_path)
 
-    kraft = _KraftLedger()
-    for c in [*todo, *stuck, *(e.codeword for e in closed)]:
-        kraft.add(len(c))
-    kraft.assert_exhaustive()
+    total = kraft_mismatch([*todo, *stuck, *(e.codeword for e in closed)])
+    if total is not None:
+        raise AssertionError(f"Kraft invariant broken: sum = {total}")
     if stuck:
         return Unclosed(alpha=alpha, mode=mode, max_weight=max_weight,
                         open_codewords=sorted(stuck))

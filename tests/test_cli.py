@@ -281,6 +281,23 @@ class TestResumeFromBadCheckpoint:
         assert capsys.readouterr().err == f"error: checkpoint {cp}: {located}\n"
         assert not out.exists()
 
+    def test_lower_weight_than_the_checkpoint_exits_three(self, tmp_path,
+                                                          capsys):
+        # plain 5/14 closes at weight 6 with entries of weight 5; from the
+        # roots it is unclosed at weight 4, so no resume there may close
+        cp = tmp_path / "state"
+        assert main(["search", "--alpha", "5/14", "--max-weight", "6",
+                     "--checkpoint", str(cp)]) == 0
+        capsys.readouterr()
+        text = cp.read_text()
+        out = tmp_path / "found.cert"
+        assert main(["search", "--alpha", "5/14", "--max-weight", "4",
+                     "--checkpoint", str(cp), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {cp}: ")
+        assert "of weight 5 into a search to max_weight 4" in err
+        assert not out.exists() and cp.read_text() == text
+
     def test_two_open_roots_leave_the_other_four_open(self, tmp_path,
                                                       reference_plain):
         cp = tmp_path / "state"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -200,6 +201,50 @@ class TestCheckpoints:
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert resumed.to_text() == reference_plain.to_text()
 
+    def test_finished_checkpoint_refuses_a_lower_weight(self, tmp_path,
+                                                        monkeypatch):
+        # plain 5/14 closes at weight 6 with entries of weight 5, and from
+        # the roots it is left unclosed at 4: a resume at 4 that kept those
+        # entries would return a certificate the search cannot find there
+        cp = tmp_path / "state"
+        assert run(Fraction(5, 14), 6, "plain",
+                   checkpoint_path=str(cp)).max_weight() == 5
+        assert isinstance(run(Fraction(5, 14), 4, "plain"), Unclosed)
+        text = cp.read_text()
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_close_decision", None)
+            with pytest.raises(ValueError, match=(
+                    rf"^checkpoint {re.escape(str(cp))}: cannot carry "
+                    r"codeword \d+ of weight "
+                    r"5 into a search to max_weight 4$")):
+                run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp))
+        assert cp.read_text() == text
+        assert (run(Fraction(5, 14), 5, "plain", checkpoint_path=str(cp))
+                == run(Fraction(5, 14), 5, "plain"))
+
+    def test_open_codewords_past_a_lower_weight_are_refused(self, tmp_path,
+                                                            monkeypatch):
+        # a search stopped with its weight-5 codewords open and every
+        # closed entry of weight 4 or less resumes at 5, not at 4
+        straight = run(Fraction(5, 14), 6, "plain")
+        closed = [e for e in straight.entries if e.level <= 4]
+        deep = [e.codeword for e in straight.entries if e.level > 4]
+        cp = tmp_path / "state"
+        save_checkpoint(engine.CheckpointState(
+            Fraction(5, 14), "plain", deep, closed), cp)
+        text = cp.read_text()
+        assert load_checkpoint(cp).open_codewords == deep
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_close_decision", None)
+            with pytest.raises(ValueError, match=(
+                    rf"^checkpoint {re.escape(str(cp))}: cannot carry "
+                    rf"codeword {codeword_display(deep[0])} of weight 5 into "
+                    r"a search to max_weight 4$")):
+                run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp))
+        assert cp.read_text() == text
+        resumed = run(Fraction(5, 14), 5, "plain", checkpoint_path=str(cp))
+        assert resumed.to_text() == straight.to_text()
+
     def test_mixed_level_checkpoint_resumes(self, tmp_path, reference_plain):
         # five level-1 codewords next to the three children of 21, the one
         # the straight run splits: each open codeword is tested at its own
@@ -376,17 +421,18 @@ class TestDepthFirst:
         (Fraction(1, 3), 5, "strong")])
     def test_certificate_asserts_kraft_once(self, monkeypatch, alpha, weight,
                                             mode):
+        # the engine counts the Kraft sum with the verifier's function, once
         wide = run(alpha, weight, mode).to_text()
         checks = []
-        real = engine._KraftLedger.assert_exhaustive
+        real = engine.kraft_mismatch
 
-        def check(ledger):
-            checks.append(ledger)
-            real(ledger)
+        def check(codewords):
+            checks.append(codewords)
+            return real(codewords)
 
-        monkeypatch.setattr(engine._KraftLedger, "assert_exhaustive", check)
+        monkeypatch.setattr(engine, "kraft_mismatch", check)
         assert run(alpha, weight, mode, stop_at_stuck=True).to_text() == wide
-        assert len(checks) == 1
+        assert len(checks) == 1 and checks[0]
 
     def test_stopped_search_resumes(self, tmp_path):
         # a search stopped at its first stuck codeword leaves a checkpoint
@@ -603,6 +649,20 @@ class TestInvariants:
             out = run(alpha, weight, "plain")
             assert isinstance(out, Certificate)
             assert out.kraft_sum() == 1
+
+    @pytest.mark.parametrize("keep,total", [(slice(1, None), "8/9"),
+                                            (slice(0), "1/3")])
+    def test_a_carry_with_a_hole_breaks_the_kraft_assertion(self, keep,
+                                                            total):
+        # a carried certificate is kept unreplayed, so a code that is not
+        # exhaustive reaches the assertion at the end of the search; every
+        # entry of plain 1/3 has a path of ratio 1/3 or more, and dropping
+        # the first, of level 1, leaves 8/9; with none left it is 1/3
+        carry = run(Fraction(1, 3), 4, "plain")
+        holed = Certificate(carry.alpha, carry.mode, carry.entries[keep])
+        with pytest.raises(AssertionError,
+                           match=f"^Kraft invariant broken: sum = {total}$"):
+            run(Fraction(1, 3), 4, "plain", carry=holed)
 
     def test_splits_are_one_digit_extensions(self, tmp_path):
         # at every write, each open codeword is a root after the last
