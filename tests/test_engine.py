@@ -215,8 +215,8 @@ class TestCheckpoints:
             mp.setattr(engine, "_close_decision", None)
             with pytest.raises(ValueError, match=(
                     rf"^checkpoint {re.escape(str(cp))}: cannot carry "
-                    r"codeword \d+ of weight "
-                    r"5 into a search to max_weight 4$")):
+                    r"codeword \d+ of weight 5 into a search to "
+                    r"max_weight 4$")):
                 run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp))
         assert cp.read_text() == text
         assert (run(Fraction(5, 14), 5, "plain", checkpoint_path=str(cp))
