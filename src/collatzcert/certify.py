@@ -90,12 +90,6 @@ class Certificate:
             raise ValueError("a certificate with no path has no ratio")
         return Fraction(num, den)
 
-    def kraft_sum(self) -> Fraction:
-        """Exact sum of 3^-length over entries plus the reserved word (0)."""
-        return Fraction(1, 3) + sum(
-            Fraction(1, POW3[len(e.codeword)]) for e in self.entries
-        )
-
     def sorted_canonically(self) -> "Certificate":
         return replace(self, entries=sorted(self.entries, key=lambda e: e.codeword))
 
@@ -173,9 +167,12 @@ def replay_path(codeword, path: str) -> Violation | None:
 
 
 def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> list[Violation]:
-    """Every violation of one entry on its own: replay, weights, ratio floor
-    and, in strong mode, the pair's mutual non-prefixness.  Each is labelled
-    with the entry's display, rendered only for an entry that has one."""
+    """Every violation of one entry on its own: replay, the terminal-bit
+    rule, ratio floor and, in strong mode, the pair's mutual
+    non-prefixness.  Replay bounds a path's weight: it refuses a 1-edge
+    once the path's weight has reached the level, so a path that replays
+    has weight at most the level.  Each violation is labelled with the
+    entry's display, rendered only for an entry that has one."""
     found = []                      # (path index, position, reason)
     want_paths = 2 if mode == STRONG else 1
     if len(entry.paths) != want_paths:
@@ -191,9 +188,7 @@ def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> lis
             found.append((i, v.position, v.reason))
             continue
         w = p.count("1")
-        if w > level:
-            found.append((i, None, f"path weight {w} exceeds level {level}"))
-        elif w == level and p[-1] != "1":
+        if w == level and p[-1] != "1":
             found.append((i, None, "full-weight path must end with a 1-edge"))
         if w * alpha.denominator < alpha.numerator * len(p):
             found.append((i, None,
@@ -250,8 +245,9 @@ def verify(cert: Certificate) -> list[Violation]:
     """Full independent check of a certificate; returns every violation found.
 
     Checks prefix-freeness, Kraft exhaustiveness against the reserved word
-    (0), and per entry: path replay, weight bounds, terminal-bit rule, the
-    ones-ratio floor, and (strong) mutual non-prefixness.
+    (0), and per entry: path replay, which bounds each path's weight by the
+    level, the terminal-bit rule, the ones-ratio floor, and (strong) mutual
+    non-prefixness.
     """
     out: list[Violation] = []
     if not 0 < cert.alpha < 1:
@@ -431,13 +427,8 @@ class SweepState:
     Each search carries the champion certificate, the level below's at a
     level's first test (level 1 starts from the roots), and decides again
     only its entries with a path below the test ratio, and their
-    descendants.  That is the same search, by monotonicity in alpha: for a
-    ratio t and a higher t', a codeword that closes at t' closes at t (the
-    witness is the same first leaf, and a companion found at t' is a
-    candidate at t), so what split at t splits at t'; and an entry closed
-    at t whose paths all have ratio t' or more is decided at t' with the
-    same paths (its first leaf is within the cap, and the least companion
-    at t is a candidate at t', whose candidates are among those at t).
+    descendants.  That is the same search, by the monotonicity in alpha
+    that ``engine.run`` proves for its ``carry``.
     The certificates of successive levels share the entry objects they
     keep.
     Growth results are cached across test values, which is sound because

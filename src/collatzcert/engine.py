@@ -8,10 +8,12 @@ codeword and everything below it are decided before its next sibling,
 and the closed entries come in canonical order.  The trees of a group of
 siblings are grown in one lookup of their parent's tree (three table
 reads up to level 9, one walk above it), and the memo holds that
-lookup's one record under the parent; the close decision reads a
-codeword's leaf keys from it and renders the ones it keeps as paths, and
-the strong companion reads those of the codeword's ancestors from their
-parents' records.  Without a cache to share, a group's record is dropped
+lookup's one record under the parent.  One read, ``_keys``, gives a
+codeword's leaf keys within its level's cap from its parent's record,
+growing the group if the record is missing: the close decision reads
+the codeword's own keys through it and renders the ones it keeps as
+paths, and the strong companion reads those of the codeword's
+prefixes.  Without a cache to share, a group's record is dropped
 once the subtree of its child ending in 2 is decided, so the memo holds
 the groups on the branch in hand; a resumed or carried run, which need
 not decide that child, may keep at most a branch for each codeword it
@@ -54,7 +56,7 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, codeword_display, codeword_from_display
-from .tree import GrowthRecord, grow_children, key_path
+from .tree import grow_children, key_path
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
@@ -221,24 +223,33 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
     return "level,count\n" + "".join(f"{lv},{n}\n" for lv, n in rows)
 
 
-def _record(memo: dict, parent: tuple[int, ...],
-            caps: list[int]) -> GrowthRecord:
-    """A parent's record from the memo, or grown at its children's cap."""
+def _keys(memo: dict, caps: list[int], parent: tuple[int, ...],
+          digit: int) -> list[int]:
+    """The keys of the leaves of ``parent + (digit,)`` within its level's
+    cap: the search's only read of the memo.  They come from the parent's
+    record, grown at that cap if it is missing; siblings share a level and
+    so a cap, so one record answers all three.  A record is never asked
+    past its cap, within one search or across the sweep's (see
+    ``SweepState``)."""
+    cap = caps[len(parent)]
     record = memo.get(parent)
     if record is None:
-        record = memo[parent] = grow_children(parent, caps[len(parent)])
-    return record
+        record = memo[parent] = grow_children(parent, cap)
+    return record.keys_within(digit, cap)
 
 
-def _close_decision(codeword: tuple[int, ...], wits: list[int], memo: dict,
-                    caps: list[int], mode: str) -> tuple[str, ...] | None:
+def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
+                    mode: str) -> tuple[str, ...] | None:
     """Paths that close this codeword at this ratio, or None to split.
 
-    ``wits`` are the keys of its first full-weight leaves within the cap.
-    Plain mode closes on the first.  Strong mode needs two such leaves, or
-    one leaf plus the canonically least lighter path of ones-ratio >= alpha
-    that is not a prefix of it, which the memo's records give.
+    The keys of its first full-weight leaves within its level's cap are
+    read from its parent's record (``_keys``).  Plain mode closes on the
+    first.  Strong mode needs two such leaves, or one leaf plus the
+    canonically least lighter path of ones-ratio >= alpha that is not a
+    prefix of it, which ``find_companion`` reads from the records of the
+    codeword's prefixes.
     """
+    wits = _keys(memo, caps, codeword[:-1], codeword[-1])
     if mode == PLAIN:
         return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
@@ -259,11 +270,11 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
     and depth at most ``caps[w]`` that is not a prefix of the witness leaf
     whose key is ``witness_key``, or None.  Down to weight w a codeword's
     tree has the shape of the tree of its first w+1 digits, so the first
-    weight-w nodes are that prefix's first two leaves, from the record the
-    search split it with (grown by ``_record`` if missing, as on a resume).
-    The first may lie on the witness path, and then so may some of its
-    0-edge chain.  A candidate is taken only below the limit, at most the
-    best so far, and a pad is the limit itself.
+    weight-w nodes are that prefix's first two leaves, read by ``_keys``
+    from the record the search split it with (grown if missing, as on a
+    resume).  The first may lie on the witness path, and then so may some
+    of its 0-edge chain.  A candidate is taken only below the limit, at
+    most the best so far, and a pad is the limit itself.
 
     The nodes searched are those of the unpruned tree.  For alpha <= 1/2
     the first qualifying one is also the first of the pruned tree, so that
@@ -278,7 +289,7 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
             break
         cap = caps[w]
         limit = min(best, 1 << (cap + 1))   # keys of depth <= cap lie below
-        keys = _record(memo, codeword[:w], caps).keys_within(codeword[w], cap)
+        keys = _keys(memo, caps, codeword[:w], codeword[w])
         first, second = [*keys, limit, limit][:2]
         d = first.bit_length() - 1
         if d < wd and witness_key >> (wd - d) == first:
@@ -301,16 +312,6 @@ def _check_resumable(state: CheckpointState, path) -> None:
         problems = entry_violations(e, state.alpha, state.mode)
         if problems:
             raise ValueError(f"checkpoint {path}: {problems[0]}")
-
-
-def _decide(c: tuple[int, ...], memo: dict, caps: list[int],
-            mode: str) -> tuple[str, ...] | None:
-    """The close decision for one codeword, at its own level's cap, from
-    its parent's record (``_record``): siblings share a level and so a cap,
-    so one record answers all three.  A record is never asked past its cap,
-    within one search or across the sweep's (see ``SweepState``)."""
-    wits = _record(memo, c[:-1], caps).keys_within(c[-1], caps[len(c) - 1])
-    return _close_decision(c, wits, memo, caps, mode)
 
 
 def _carried(carry: Certificate, alpha: Fraction,
@@ -431,7 +432,7 @@ def run(
         if log and len(c) <= 3:
             save_checkpoint(log, checkpoint_path)
             log = []
-        paths = _decide(c, memo, caps, mode)
+        paths = _close_decision(c, memo, caps, mode)
         if paths is not None:
             closed.append(CertificateEntry(codeword=c, paths=paths))
             if log is not None:

@@ -14,7 +14,9 @@ from collatzcert.certify import (
     SweepState,
     Unclosed,
     code_violations,
+    entry_violations,
     farey_successor,
+    kraft_mismatch,
     parse_certificate,
     parse_ratio,
     replay_path,
@@ -150,6 +152,25 @@ class TestVerify:
                             entries=entries)
         assert verify(plain) == []
 
+    def test_replay_bounds_a_path_weight(self):
+        # a path heavier than its level never replays: replay refuses the
+        # 1-edge after the weight has reached the level, so the verifier
+        # needs no weight check of its own
+        entry = CertificateEntry(codeword=(2, 2), paths=("11",))
+        assert [str(v) for v in entry_violations(entry, Fraction(1, 3),
+                                                 "plain")] == [
+            "entry 22, path 1, position 1: 1-edge after weight reached the "
+            "level (class mod 9 undetermined)"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Certificate(Fraction(1, 3), "weak", []),
+    lambda: engine.run(Fraction(1, 3), 4, "weak"),
+], ids=["Certificate", "engine.run"])
+def test_unknown_mode_is_refused(call):
+    with pytest.raises(ValueError, match="^unknown mode 'weak'$"):
+        call()
+
 
 class TestFileFormat:
     def test_round_trip_is_byte_identical(self, reference_plain):
@@ -254,7 +275,7 @@ class TestSearch:
             out = search(alpha, weight, mode)
             assert isinstance(out, Certificate)
             assert verify(out) == []
-            assert out.kraft_sum() == 1
+            assert kraft_mismatch(e.codeword for e in out.entries) is None
 
     def test_unclosed_below_needed_weight(self):
         out = search(Fraction(1, 3), 3, "plain")

@@ -64,6 +64,22 @@ class TestVerifyCommand:
         path.write_text("certificate v1 mode=plain alpha=1/3\n02 1 1\n")
         assert main(["verify", str(path)]) == 1
 
+    @pytest.mark.parametrize("text,out,err", [
+        ("certificate v1 mode=plain alpha=1/3\n",
+         "invalid: certificate has no entries\n", ""),
+        # every path's ratio is at least 0, so alpha is the only fault
+        (reference_plain_text().replace("alpha=1/3", "alpha=0/1"),
+         "invalid: alpha 0 out of range (0, 1)\n", ""),
+        ("certificate v1 foo=plain alpha=1/3\n", "",
+         "parse error: line 1: bad certificate header fields "
+         "'certificate v1 foo=plain alpha=1/3'\n"),
+    ], ids=["no-entries", "alpha-zero", "header-fields"])
+    def test_refusals_exit_one(self, tmp_path, capsys, text, out, err):
+        path = tmp_path / "bad.cert"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr() == (out, err)
+
 
 @pytest.mark.parametrize("argv", [
     ["verify"],
@@ -267,11 +283,14 @@ class TestResumeFromBadCheckpoint:
         (["open 1", "open 2"],
          "line 2: open codeword 1 is not at or below the least open "
          "codeword 01"),
+        # a record kind v4 does not have
+        (["split 12"], "line 2: unknown record 'split'"),
     ])
     def test_v3_exits_three_with_the_line(self, tmp_path, capsys, records,
                                           located):
         # the refusals v3 located, at the same lines in v4, and those of a
-        # duplicate, a prefix and a level-0 codeword, which v4 locates too
+        # duplicate, a prefix, a level-0 codeword and an unknown record
+        # kind, which v4 locates too
         cp = tmp_path / "state"
         cp.write_text("checkpoint v4 mode=plain alpha=1/3\n"
                       + "".join(f"{r}\n" for r in records))

@@ -14,6 +14,7 @@ from collatzcert.certify import (
     SweepState,
     Unclosed,
     depth_cap,
+    kraft_mismatch,
     verify,
 )
 from collatzcert.engine import (
@@ -596,7 +597,7 @@ _RATIOS = st.lists(_RATIO, min_size=2, max_size=2, unique=True).map(sorted)
 
 def _decision(c, alpha, mode):
     caps = [depth_cap(level, alpha) for level in range(len(c))]
-    return engine._decide(c, {}, caps, mode)
+    return engine._close_decision(c, {}, caps, mode)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -642,13 +643,13 @@ class TestEdgeModes:
 
 class TestInvariants:
     def test_every_outcome_is_exhaustive(self):
-        # the Kraft identity is asserted after every merge inside run();
-        # a completed certificate must also sum to exactly 1
+        # run() asserts the Kraft identity once, at the end of the
+        # search; a completed certificate must also sum to exactly 1
         for alpha, weight in [(Fraction(1, 4), 1), (Fraction(2, 7), 2),
                               (Fraction(1, 3), 4)]:
             out = run(alpha, weight, "plain")
             assert isinstance(out, Certificate)
-            assert out.kraft_sum() == 1
+            assert kraft_mismatch(e.codeword for e in out.entries) is None
 
     @pytest.mark.parametrize("keep,total", [(slice(1, None), "8/9"),
                                             (slice(0), "1/3")])

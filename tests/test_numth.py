@@ -129,6 +129,15 @@ class TestCodewords:
             check_codeword((1,) * (MAX_CODEWORD_LEN + 1))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: inverse_t(0), "inverse_t requires n >= 1"),
+    (lambda: codeword_of_int(-1, 3), "negative value has no codeword"),
+], ids=["inverse_t", "codeword_of_int"])
+def test_refuses_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestFamilies:
     @pytest.mark.parametrize("k", range(1, 31))
     def test_all_ones_reaches_power_of_three(self, k):
@@ -143,6 +152,14 @@ class TestFamilies:
             r = trajectory(n)
             assert steps[n] == r.steps
             assert ones[n] == r.parity.count("1")
+
+    def test_stopping_profile_marks_cap_overruns(self):
+        # 7 is still above itself after 5 steps, 6 drops to 3 and overruns
+        # with 3's 5 steps, and 9 drops to 7, which overran
+        steps, _ = stopping_profile(10, cap=5)
+        assert [n for n in range(2, 11) if steps[n] == -1] == [6, 7, 9]
+        assert all(steps[n] == trajectory(n).steps
+                   for n in (2, 3, 4, 5, 8, 10))
 
     def test_log_bound_small_slice(self):
         # ratio-to-stopping-time bound, checked exactly on a small range

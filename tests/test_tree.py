@@ -38,6 +38,21 @@ def _depth(key):
     return key.bit_length() - 1
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: grow_children((0,), 5),
+     r"cannot grow from the reserved codeword \(0\)"),
+    (lambda: grow_children((1, 2), 0), "depth_cap must be >= 1"),
+    (lambda: next(walk_nodes((0,), 3)),
+     r"cannot walk the reserved codeword \(0\)"),
+    (lambda: next(walk_integers(0, 3)), "root must be >= 1"),
+    (lambda: count_structures(-1), "k must be >= 0"),
+], ids=["grow-reserved", "grow-cap", "walk-reserved", "walk-integers-root",
+        "census-negative"])
+def test_refuses_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestGrowCritical:
     @pytest.mark.parametrize(
         "display,cap,depth,witnesses",
