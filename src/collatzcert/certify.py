@@ -433,8 +433,9 @@ class SweepState:
     keep.
     Growth results are cached across test values, which is sound because
     a codeword's tree does not depend on alpha.  The cache holds one growth
-    record for each group of siblings, keyed by their parent, and no record
-    is ever asked past the cap it was grown at.  Caps fall as the ratio
+    record for each group of siblings, packed into one int and keyed by the
+    bytes of their parent (``engine._keys``), and no record is ever asked
+    past the cap it was grown at.  Caps fall as the ratio
     rises, and a level's tests rise.  A test that failed at level l,
     a = farey_successor(c, depth_cap(l, c)), grew only at caps
     depth_cap(L, a) with L <= l, and every later test t lies above c, since

@@ -8,12 +8,12 @@ codeword and everything below it are decided before its next sibling,
 and the closed entries come in canonical order.  The trees of a group of
 siblings are grown in one lookup of their parent's tree (three table
 reads up to level 9, one walk above it), and the memo holds that
-lookup's one record under the parent.  One read, ``_keys``, gives a
-codeword's leaf keys within its level's cap from its parent's record,
-growing the group if the record is missing: the close decision reads
-the codeword's own keys through it and renders the ones it keeps as
-paths, and the strong companion reads those of the codeword's
-prefixes.  Without a cache to share, a group's record is dropped
+lookup's one record, packed into one int, under the bytes of the parent.
+One read, ``_keys``, gives a codeword's leaf keys within its level's cap
+from its parent's record, growing the group if the record is missing:
+the close decision reads the codeword's own keys through it and renders
+the ones it keeps as paths, and the strong companion reads those of the
+codeword's prefixes.  Without a cache to share, a group's record is dropped
 once the subtree of its child ending in 2 is decided, so the memo holds
 the groups on the branch in hand; a resumed or carried run, which need
 not decide that child, may keep at most a branch for each codeword it
@@ -56,7 +56,7 @@ from .certify import (
     parse_records,
 )
 from .numth import MAX_CODEWORD_LEN, codeword_display, codeword_from_display
-from .tree import grow_children, key_path
+from .tree import grow_children, key_path, unpack_keys
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 INITIAL_CODEWORDS = tuple(
@@ -226,16 +226,18 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
 def _keys(memo: dict, caps: list[int], parent: tuple[int, ...],
           digit: int) -> list[int]:
     """The keys of the leaves of ``parent + (digit,)`` within its level's
-    cap: the search's only read of the memo.  They come from the parent's
-    record, grown at that cap if it is missing; siblings share a level and
-    so a cap, so one record answers all three.  A record is never asked
-    past its cap, within one search or across the sweep's (see
-    ``SweepState``)."""
+    cap: the search's only read of the memo.  The memo is keyed by
+    ``bytes(parent)`` and holds each parent's packed record, grown at that
+    cap if it is missing, which ``tree.unpack_keys`` decodes; siblings
+    share a level and so a cap, so one record answers all three.  A record
+    is never asked past its cap, within one search or across the sweep's
+    (see ``SweepState``)."""
     cap = caps[len(parent)]
-    record = memo.get(parent)
-    if record is None:
-        record = memo[parent] = grow_children(parent, cap)
-    return record.keys_within(digit, cap)
+    name = bytes(parent)
+    packed = memo.get(name)
+    if packed is None:
+        packed = memo[name] = grow_children(parent, cap).packed
+    return unpack_keys(packed, digit, cap)
 
 
 def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
@@ -383,11 +385,11 @@ def run(
     A carry in another mode or at a higher ratio is refused with
     ValueError.
 
-    Growth records are memoised by parent, one for each group of siblings:
-    in ``cache`` when the caller passes one, to share them across searches
-    that never ask a record past its cap, as the sweep's never do, and
-    otherwise in a memo of the search's own, under the module's one rule
-    for it.
+    Growth records are memoised by parent, one packed int for each group
+    of siblings under the bytes of the parent: in ``cache`` when the
+    caller passes one, to share them across searches that never ask a
+    record past its cap, as the sweep's never do, and otherwise in a memo
+    of the search's own, under the module's one rule for it.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -449,7 +451,7 @@ def run(
         # c's subtree is decided, and so is each ancestor's that it ends
         while cache is None and len(c) > 1 and c[-1] == 2:
             c = c[:-1]
-            memo.pop(c, None)
+            memo.pop(bytes(c), None)
     if log:
         save_checkpoint(log, checkpoint_path)
 

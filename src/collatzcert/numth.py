@@ -91,7 +91,8 @@ def stopping_profile(limit: int, cap: int = 10_000) -> tuple[list[int], list[int
 
     Memoizes downward: values below the current n are already solved, so each
     n only walks until its orbit drops under n.  Returns (steps, ones) lists
-    indexed by n; steps[n] = -1 marks a cap overrun.
+    indexed by n; steps[n] = ones[n] = -1 marks a cap overrun, whether n's
+    own walk overran or that of the smaller value it dropped to.
     """
     steps = [0] * (limit + 1)
     ones = [0] * (limit + 1)
@@ -107,12 +108,14 @@ def stopping_profile(limit: int, cap: int = 10_000) -> tuple[list[int], list[int
                 v //= 2
             s += 1
             if s > cap:
-                steps[n] = -1
+                steps[n] = ones[n] = -1
                 break
         else:
             total = s + steps[v]
-            steps[n] = -1 if steps[v] == -1 or total > cap else total
-            ones[n] = o + ones[v]
+            if steps[v] == -1 or total > cap:
+                steps[n] = ones[n] = -1
+            else:
+                steps[n], ones[n] = total, o + ones[v]
     return steps, ones
 
 

@@ -26,9 +26,10 @@ The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
 leaves of c·0, c·1 and c·2 in one lookup, since up to weight l their trees
 have the shape of the tree of c and their classes differ by a known
-multiple of the top power of 3; its one record holds the cap, the three
-key lists and what the lookup cost.  ``grow_record`` gives one
-codeword's keys.
+multiple of the top power of 3; its one record holds what the lookup
+cost and one int, which packs the cap and the three key pairs and is all
+the engine's memo keeps of the group.  ``unpack_keys`` is the one
+decoder of that int, and ``grow_record`` gives one codeword's keys.
 
 A node at depth d reached by the edge labels p (first edge highest) is
 named by its key (1 << d) | p, so keys order by depth and then
@@ -70,11 +71,13 @@ def key_path(key: int) -> str:
 
 # Classes known mod 3^m for 2 <= m <= TABLE_MAX_EXPONENT get their first two
 # leaves tabled, each table built in one pass from the one below it in
-# O(3^m) integer steps; table 10 holds 2·3^10 slots of 8 bytes.  For m <= 10
+# O(3^m) integer steps; table 10 holds 2·3^10 slots of 4 bytes.  For m <= 10
 # the second leaf lies at most 23 edges below its class
-# (test_leaf_tables_from_fresh), well inside the 61 that a signed 64-bit
-# slot can hold; _TABLE_KEY_LIMIT stands for "no leaf" while a table is
-# built, and no slot keeps it.
+# (test_leaf_tables_from_fresh), inside the 31 that an unsigned 32-bit slot
+# can hold, and at m = 14 it lies 31 edges down, which still fits.  A key
+# too wide for its slot raises OverflowError when it is stored, never
+# wraps; _TABLE_KEY_LIMIT stands for "no leaf" while a table is built, and
+# no slot keeps it.
 TABLE_MAX_EXPONENT = 10
 _TABLE_KEY_LIMIT = 1 << 62
 
@@ -85,38 +88,89 @@ _TABLE_KEY_LIMIT = 1 << 62
 _leaf_tables: list[array | None] = [None] * (TABLE_MAX_EXPONENT + 1)
 
 
+# A packed growth record holds, from its low bits up, the width W of its key
+# fields in _WIDTH_BITS bits, the six keys in fields of W bits each (child
+# d's two at field 2d and 2d + 1, 0 where the child has fewer), and then
+# the cap, however wide.  So W follows from the widest key, never from the
+# cap.  A leaf lies at most 4(m-1) edges below a class mod 3^m, since a
+# 0-edge chain meets a class 2 or 8 mod 9, which has a 1-edge, within 3
+# edges; and a second at most 4 edges below the first, off the 0-edge
+# chain of the first one's last branch.  A sibling's class is known mod
+# 3^m with m <= MAX_CODEWORD_LEN + 1 = 81, so a key has at most 4m + 1 =
+# 325 bits, and W fits in 9.
+_WIDTH_BITS = 9
+_WIDTH_MASK = (1 << _WIDTH_BITS) - 1
+
+
 @dataclass(slots=True)
 class GrowthRecord:
     """What one ``grow_children`` lookup learned about the trees of a
     codeword's three one-digit extensions: a table slot's answer for each,
     cut at a cap.
 
-    ``witnesses[d]`` holds the keys of the first two weight-l leaves of the
-    child ending in digit d within ``cap``, ascending, which is canonical
-    order.  Fewer than two means there are no more within the cap; two of
-    them are the first two leaves at any depth.  ``nodes_expanded`` counts
-    the 1-edges the lookup walked and ``frontier_peak`` is its deepest
-    search stack; a group answered from the tables walked nothing and
-    reports 0 and 1.  The engine keeps one record per parent.
+    ``packed`` holds the cap and, for each child d, the keys of its first
+    two weight-l leaves within the cap, ascending, which is canonical
+    order; ``cap`` and ``witnesses`` decode it, ``witnesses[d]`` being
+    child d's list.  Fewer than two keys means there are no more within
+    the cap; two of them are the first two leaves at any depth.
+    ``nodes_expanded`` counts the 1-edges the lookup walked and
+    ``frontier_peak`` is its deepest search stack; a group answered from
+    the tables walked nothing and reports 0 and 1.  The engine's memo
+    keeps ``packed`` alone, one int per parent.
     """
 
-    cap: int
-    witnesses: tuple[list[int], list[int], list[int]]
+    packed: int
     nodes_expanded: int
     frontier_peak: int
 
+    @property
+    def cap(self) -> int:
+        return packed_cap(self.packed)
+
+    @property
+    def witnesses(self) -> tuple[list[int], list[int], list[int]]:
+        cap = self.cap
+        return tuple(unpack_keys(self.packed, d, cap) for d in range(3))
+
     def keys_within(self, digit: int, cap: int) -> list[int]:
-        """The keys of child ``digit``'s leaves within ``cap``, which may
-        not pass the record's own: a deeper cap could find more than the
-        record holds.  When every key is within the cap this is the
-        record's own list, which no caller may change."""
-        if cap > self.cap:
-            raise ValueError(f"cap {cap} is past the record's cap {self.cap}")
-        keys = self.witnesses[digit]
-        limit = 1 << (cap + 1)            # keys of depth <= cap lie below
-        if not keys or keys[-1] < limit:
-            return keys
-        return [key for key in keys if key < limit]
+        """The keys of child ``digit``'s leaves within ``cap`` (see
+        ``unpack_keys``)."""
+        return unpack_keys(self.packed, digit, cap)
+
+
+def packed_cap(packed: int) -> int:
+    """The cap a packed growth record was grown at."""
+    return packed >> (_WIDTH_BITS + 6 * (packed & _WIDTH_MASK))
+
+
+def unpack_keys(packed: int, digit: int, cap: int) -> list[int]:
+    """The keys of child ``digit``'s leaves within ``cap``, ascending, from
+    a packed growth record: the one decoder of the records the memo keeps.
+    The cap may not pass the record's own, since a deeper cap could find
+    more than the record holds."""
+    width = packed & _WIDTH_MASK
+    if cap > packed >> (_WIDTH_BITS + 6 * width):
+        raise ValueError(f"cap {cap} is past the record's cap "
+                         f"{packed_cap(packed)}")
+    pair = packed >> (_WIDTH_BITS + 2 * width * digit)
+    mask = (1 << width) - 1
+    limit = 1 << (cap + 1)                # keys of depth <= cap lie below
+    first = pair & mask
+    if not 0 < first < limit:
+        return []
+    second = pair >> width & mask
+    return [first, second] if 0 < second < limit else [first]
+
+
+def _pack(cap: int, bests, limit: int) -> int:
+    """The packed growth record of three ascending key pairs padded with
+    ``limit``: each pad is stored as 0."""
+    keys = [key if key < limit else 0 for best in bests for key in best]
+    width = max(keys).bit_length()
+    packed = cap
+    for key in reversed(keys):
+        packed = packed << width | key
+    return packed << _WIDTH_BITS | width
 
 
 def grow_children(codeword, depth_cap: int) -> GrowthRecord:
@@ -130,7 +184,7 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     at once, which is the whole lookup when c has at most 9 digits, and a
     walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
     any of them.  Each child's pair starts as two pads, the key limit of
-    the cap, and the record keeps the keys below that limit, so its lists
+    the cap, and the record packs the keys below that limit, so its lists
     hold no pad.  ``witnesses[d]`` equals ``grow_record(c + (d,),
     depth_cap)``.
     """
@@ -145,9 +199,8 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     bests = ([limit, limit], [limit, limit], [limit, limit])
     stats = [0, m]
     _leaves(codeword_value(c), m, 1, bests, limit, stats)
-    keys = tuple([k for k in best if k < limit] for best in bests)
-    return GrowthRecord(cap=depth_cap, witnesses=keys, nodes_expanded=stats[0],
-                        frontier_peak=m - stats[1] + 1)
+    return GrowthRecord(packed=_pack(depth_cap, bests, limit),
+                        nodes_expanded=stats[0], frontier_peak=m - stats[1] + 1)
 
 
 def grow_record(codeword, depth_cap: int) -> list[int]:
@@ -272,7 +325,7 @@ def _build_table(m: int) -> array:
     mod, sub = POW3[m], POW3[m - 1]
     half, cycle = (mod + 1) // 2, mod - sub
     child = (_leaf_tables[m - 1] or _build_table(m - 1)) if m > 2 else None
-    table = array("q", bytes(16 * mod))
+    table = array("I", bytes(8 * mod))
     first = second = _TABLE_KEY_LIMIT
     v = 1
     for lap_step in range(2 * cycle):

@@ -26,7 +26,12 @@ from collatzcert.engine import (
     stats,
 )
 from collatzcert.numth import codeword_display
-from collatzcert.tree import GrowthRecord, best_ratio
+from collatzcert.tree import (
+    best_ratio,
+    grow_children,
+    packed_cap,
+    unpack_keys,
+)
 
 
 class TestUnclosed:
@@ -396,18 +401,48 @@ class TestGrowthCache:
             calls.append(len(grown))
         # cold, the three runs grow 5, 17 and 16 groups
         assert calls == [5, 12, 5, 0]
-        assert set(cache) >= {(1,), (2,)}
-        # one record per parent, holding the key lists of its three children
-        for record in cache.values():
-            assert type(record) is GrowthRecord
-            assert len(record.witnesses) == 3
-            assert all(type(keys) is list for keys in record.witnesses)
+        assert set(cache) >= {bytes((1,)), bytes((2,))}
+        # one packed int per parent, under its bytes, which decodes to the
+        # key lists of its three children at the cap it was grown at
+        for name, packed in cache.items():
+            assert type(name) is bytes and type(packed) is int
+            cap = packed_cap(packed)
+            assert (tuple(unpack_keys(packed, d, cap) for d in range(3))
+                    == grow_children(tuple(name), cap).witnesses)
         # a run at a lower ratio asks the roots' records, grown at 5/14 for
         # level 1's cap of 2, for its cap of 3
         cache = {}
         run(Fraction(5, 14), 6, "plain", cache=cache)
         with pytest.raises(ValueError, match="cap 3 is past the record's cap 2"):
             run(Fraction(1, 3), 4, "plain", cache=cache)
+
+    def test_memo_holds_few_bytes_per_group(self):
+        # the plain sweep to 12 keeps one record for each of its 760 groups;
+        # a bytes key and a packed int take 86 B, counted by walking the
+        # keys and values, and a tuple key or a record of lists would take
+        # several times the bound
+        sweep = SweepState(mode="plain")
+        sweep.level(12)
+        cache, seen = sweep.cache, set()
+        size = sum(_object_size(name, seen) + _object_size(packed, seen)
+                   for name, packed in cache.items())
+        assert len(cache) == 760
+        assert size <= 160 * len(cache), size / len(cache)
+
+
+def _object_size(obj, seen: set) -> int:
+    """Bytes held by an object and everything it reaches through its items
+    or slots, each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        parts = obj
+    else:
+        parts = [getattr(obj, name)
+                 for name in getattr(type(obj), "__slots__", ())]
+    return size + sum(_object_size(part, seen) for part in parts)
 
 
 class TestDepthFirst:

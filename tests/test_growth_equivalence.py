@@ -22,6 +22,8 @@ from array import array
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from collatzcert import tree
 from collatzcert.certify import depth_cap
 from collatzcert.engine import find_companion
@@ -170,11 +172,43 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     assert _compare_children(parents, caps_of) >= 24 * 3 * 3
 
 
+def test_packed_records_round_trip():
+    # the seeded parents of the test above, each grown at its loose cap,
+    # and one grown at alpha = 1/1000, whose cap runs into the thousands.
+    # The leaves within a cap are the first of those within any deeper
+    # one, so at every cap up to a record's own the decoded keys are the
+    # walk's at its own cap, cut at that cap.  A key field is as wide as
+    # the widest key, whatever the cap, so the packed int is no wider than
+    # six such fields, the width's own field and the cap
+    parents = [(parent, 4 * len(parent)) for parent in _sampled_codewords(
+        range(9, 17), per_level=3, seed=2025)]
+    wide = next(_sampled_codewords(range(10, 11), per_level=1, seed=1000))
+    parents.append((wide, depth_cap(len(wide), Fraction(1, 1000))))
+    assert parents[-1][1] == 11_000
+    for parent, own in parents:
+        record = grow_children(parent, own)
+        assert record.cap == own
+        walks = [_walk_leaves(parent + (d,), own) for d in range(3)]
+        assert list(record.witnesses) == walks, parent
+        for cap in range(own + 1):
+            limit = 1 << (cap + 1)
+            for d in range(3):
+                assert record.keys_within(d, cap) == [
+                    key for key in walks[d] if key < limit], (parent, cap)
+        with pytest.raises(ValueError,
+                           match=f"cap {own + 1} is past the record's cap {own}"):
+            record.keys_within(2, own + 1)
+        widest = max(key.bit_length() for keys in walks for key in keys)
+        assert record.packed.bit_length() <= (
+            6 * widest + tree._WIDTH_BITS + own.bit_length()), parent
+
+
 def test_leaf_tables_from_fresh(monkeypatch):
     """Every slot of fresh tables, built whole: two increasing keys, the
     second at most 23 edges deep, no sentinel left, each equal to the walk
     of its class's 0-edge chain over table m-1, and for m <= 6 to the first
-    two leaves of ``walk_nodes``.
+    two leaves of ``walk_nodes``.  Every slot takes 4 bytes, and a key too
+    wide for one raises rather than wraps.
 
     Slots of classes divisible by 3 stay 0: their 0-edge chain never meets
     2 or 8 mod 9, so they have no leaves, and no root, child or prefix of a
@@ -190,7 +224,10 @@ def test_leaf_tables_from_fresh(monkeypatch):
     deepest = walked = 0
     for m in range(2, TABLE_MAX_EXPONENT + 1):
         table = tables[m]
-        assert len(table) == 2 * POW3[m]
+        assert len(table) == 2 * POW3[m] and table.itemsize == 4
+        with pytest.raises(OverflowError):
+            table[0] = 1 << 32
+        assert table[0] == 0
         for v in range(POW3[m]):
             first, second = table[v + v], table[v + v + 1]
             if v % 3 == 0:

@@ -155,9 +155,11 @@ class TestFamilies:
 
     def test_stopping_profile_marks_cap_overruns(self):
         # 7 is still above itself after 5 steps, 6 drops to 3 and overruns
-        # with 3's 5 steps, and 9 drops to 7, which overran
-        steps, _ = stopping_profile(10, cap=5)
+        # with 3's 5 steps, and 9 drops to 7, which overran: each is marked
+        # in both lists, whichever walk overran
+        steps, ones = stopping_profile(10, cap=5)
         assert [n for n in range(2, 11) if steps[n] == -1] == [6, 7, 9]
+        assert [ones[6], ones[7], ones[9]] == [-1, -1, -1]
         assert all(steps[n] == trajectory(n).steps
                    for n in (2, 3, 4, 5, 8, 10))
 
