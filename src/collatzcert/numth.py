@@ -91,8 +91,9 @@ def stopping_profile(limit: int, cap: int = 10_000) -> tuple[list[int], list[int
 
     Memoizes downward: values below the current n are already solved, so each
     n only walks until its orbit drops under n.  Returns (steps, ones) lists
-    indexed by n; steps[n] = ones[n] = -1 marks a cap overrun, whether n's
-    own walk overran or that of the smaller value it dropped to.
+    indexed by n; steps[n] = ones[n] = -1 marks an n whose stopping time
+    passes the cap, found on its own walk or on that of the smaller value
+    it drops to.
     """
     steps = [0] * (limit + 1)
     ones = [0] * (limit + 1)
