@@ -13,13 +13,12 @@ One read, ``_keys``, gives a codeword's leaf keys within its level's cap
 from its parent's record, growing the group if the record is missing:
 the close decision reads the codeword's own keys through it and renders
 the ones it keeps as paths, and the strong companion reads those of the
-codeword's prefixes.  Without a cache to share, a group's record is dropped
-once the subtree of its child ending in 2 is decided, so the memo holds
-the groups on the branch in hand; a resumed or carried run, which need
-not decide that child, may keep at most a branch for each codeword it
-starts from.  Splitting a codeword into its three one-digit extensions
-preserves the prefix-code property, which is asserted as an exact Kraft
-identity, by the verifier's count, once per search.
+codeword's prefixes.  A memo, the caller's cache or the search's own,
+keeps every record grown into it for as long as it lives, so each group
+is grown at most once, and is never asked a record past its cap.
+Splitting a codeword into its three one-digit extensions preserves the
+prefix-code property, which is asserted as an exact Kraft identity, by
+the verifier's count, once per search.
 
 A run with a checkpoint writes the file whole once, as segment 0: the
 entries it carries over and the codewords it starts from, in canonical
@@ -223,20 +222,18 @@ def format_stats_csv(rows: list[tuple[int, int]]) -> str:
     return "level,count\n" + "".join(f"{lv},{n}\n" for lv, n in rows)
 
 
-def _keys(memo: dict, caps: list[int], parent: tuple[int, ...],
-          digit: int) -> list[int]:
-    """The keys of the leaves of ``parent + (digit,)`` within its level's
-    cap: the search's only read of the memo.  The memo is keyed by
-    ``bytes(parent)`` and holds each parent's packed record, grown at that
-    cap if it is missing, which ``tree.unpack_keys`` decodes; siblings
-    share a level and so a cap, so one record answers all three.  A record
-    is never asked past its cap, within one search or across the sweep's
-    (see ``SweepState``)."""
-    cap = caps[len(parent)]
-    name = bytes(parent)
+def _keys(memo: dict, caps: list[int], name: bytes, digit: int) -> list[int]:
+    """The keys of the leaves of the parent named ``name`` extended by
+    ``digit``, within that child's level's cap: the search's only read of
+    the memo.  The memo is keyed by the bytes of a parent and holds each
+    parent's packed record, grown at that cap if it is missing, which
+    ``tree.unpack_keys`` decodes; siblings share a level and so a cap, so
+    one record answers all three.  A record is never asked past its cap,
+    within one search or across the sweep's (see ``SweepState``)."""
+    cap = caps[len(name)]
     packed = memo.get(name)
     if packed is None:
-        packed = memo[name] = grow_children(parent, cap).packed
+        packed = memo[name] = grow_children(tuple(name), cap).packed
     return unpack_keys(packed, digit, cap)
 
 
@@ -251,7 +248,7 @@ def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
     prefix of it, which ``find_companion`` reads from the records of the
     codeword's prefixes.
     """
-    wits = _keys(memo, caps, codeword[:-1], codeword[-1])
+    wits = _keys(memo, caps, bytes(codeword)[:-1], codeword[-1])
     if mode == PLAIN:
         return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
@@ -273,16 +270,19 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
     whose key is ``witness_key``, or None.  Down to weight w a codeword's
     tree has the shape of the tree of its first w+1 digits, so the first
     weight-w nodes are that prefix's first two leaves, read by ``_keys``
-    from the record the search split it with (grown if missing, as on a
-    resume).  The first may lie on the witness path, and then so may some
-    of its 0-edge chain.  A candidate is taken only below the limit, at
-    most the best so far, and a pad is the limit itself.
+    from the record of the prefix's parent, which the memo keeps for the
+    whole run: grown when the search split that parent, or at the first
+    read in a resumed or carried run that never split it.  The first may
+    lie on the witness path, and then so may some of its 0-edge chain.  A
+    candidate is taken only below the limit, at most the best so far, and
+    a pad is the limit itself.
 
     The nodes searched are those of the unpruned tree.  For alpha <= 1/2
     the first qualifying one is also the first of the pruned tree, so that
     is the answer there; above 1/2, where pruning is not known to keep every
     candidate, the answer is the first qualifying node of the unpruned tree.
     """
+    name = bytes(codeword)
     wd = witness_key.bit_length() - 1
     unset = best = 1 << (caps[len(codeword) - 1] + 1)
     for w in range(1, len(codeword) - 1):
@@ -291,7 +291,7 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
             break
         cap = caps[w]
         limit = min(best, 1 << (cap + 1))   # keys of depth <= cap lie below
-        keys = _keys(memo, caps, codeword[:w], codeword[w])
+        keys = _keys(memo, caps, name[:w], name[w])
         first, second = [*keys, limit, limit][:2]
         d = first.bit_length() - 1
         if d < wd and witness_key >> (wd - d) == first:
@@ -389,7 +389,7 @@ def run(
     of siblings under the bytes of the parent: in ``cache`` when the
     caller passes one, to share them across searches that never ask a
     record past its cap, as the sweep's never do, and otherwise in a memo
-    of the search's own, under the module's one rule for it.
+    of the search's own.  Either keeps every record grown into it.
     """
     if mode not in (PLAIN, STRONG):
         raise ValueError(f"unknown mode {mode!r}")
@@ -441,17 +441,12 @@ def run(
                 log.append(closed[-1])
         elif len(c) - 1 < max_weight:
             todo.extend(c + (d,) for d in (2, 1, 0))
-            continue
         else:
             stuck.append(c)
             if log is not None:
                 log.append(c)
             if stop_at_stuck:
                 break
-        # c's subtree is decided, and so is each ancestor's that it ends
-        while cache is None and len(c) > 1 and c[-1] == 2:
-            c = c[:-1]
-            memo.pop(bytes(c), None)
     if log:
         save_checkpoint(log, checkpoint_path)
 

@@ -110,9 +110,10 @@ class GrowthRecord:
 
     ``packed`` holds the cap and, for each child d, the keys of its first
     two weight-l leaves within the cap, ascending, which is canonical
-    order; ``cap`` and ``witnesses`` decode it, ``witnesses[d]`` being
-    child d's list.  Fewer than two keys means there are no more within
-    the cap; two of them are the first two leaves at any depth.
+    order.  ``unpack_keys`` is its one decoder and ``packed_cap`` reads
+    its cap; ``witnesses[d]`` is child d's list, decoded at that cap.
+    Fewer than two keys means there are no more within the cap; two of
+    them are the first two leaves at any depth.
     ``nodes_expanded`` counts the 1-edges the lookup walked and
     ``frontier_peak`` is its deepest search stack; a group answered from
     the tables walked nothing and reports 0 and 1.  The engine's memo
@@ -124,18 +125,9 @@ class GrowthRecord:
     frontier_peak: int
 
     @property
-    def cap(self) -> int:
-        return packed_cap(self.packed)
-
-    @property
     def witnesses(self) -> tuple[list[int], list[int], list[int]]:
-        cap = self.cap
+        cap = packed_cap(self.packed)
         return tuple(unpack_keys(self.packed, d, cap) for d in range(3))
-
-    def keys_within(self, digit: int, cap: int) -> list[int]:
-        """The keys of child ``digit``'s leaves within ``cap`` (see
-        ``unpack_keys``)."""
-        return unpack_keys(self.packed, digit, cap)
 
 
 def packed_cap(packed: int) -> int:

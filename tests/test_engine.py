@@ -485,14 +485,24 @@ class TestDepthFirst:
                           stop_at_stuck=stop)
             assert resumed == straight
 
-    @pytest.mark.parametrize("alpha,weight,mode", [
-        (Fraction(5, 14), 6, "plain"), (Fraction(1, 3), 5, "strong")],
-        ids=["plain", "strong"])
-    def test_canonical_order_grows_each_group_once(self, monkeypatch, alpha,
-                                                   weight, mode):
-        # without a cache a group's record is kept until the subtree of its
-        # last child is decided, across the branches below its first
-        # children, so the strong companion finds every ancestor's record
+    @pytest.mark.parametrize("alpha,weight,mode,stopped_at", [
+        (Fraction(5, 14), 6, "plain", None),
+        (Fraction(1, 3), 5, "strong", None),
+        (Fraction(1, 3), 5, "strong", 4)],
+        ids=["plain", "strong", "strong-resumed"])
+    def test_canonical_order_grows_each_group_once(self, monkeypatch,
+                                                   tmp_path, alpha, weight,
+                                                   mode, stopped_at):
+        # a memo keeps every record grown into it for the whole run, so the
+        # strong companion finds every ancestor's record, and a run resumed
+        # from a checkpoint, which grows the records of the ancestors it
+        # never split, grows each of them once as well
+        straight = run(alpha, weight, mode, stop_at_stuck=True)
+        cp = None
+        if stopped_at is not None:
+            cp = str(tmp_path / "state")
+            run(alpha, stopped_at, mode, checkpoint_path=cp,
+                stop_at_stuck=True)
         grown, decided, companions = [], [], []
         real_grow, real_decide = engine.grow_children, engine._close_decision
         real_companion = engine.find_companion
@@ -512,12 +522,19 @@ class TestDepthFirst:
         monkeypatch.setattr(engine, "grow_children", grow)
         monkeypatch.setattr(engine, "_close_decision", decide)
         monkeypatch.setattr(engine, "find_companion", companion)
-        out = run(alpha, weight, mode, stop_at_stuck=True)
+        out = run(alpha, weight, mode, checkpoint_path=cp, stop_at_stuck=True)
+        assert out == straight
         assert [e.codeword for e in out.entries] == sorted(
             e.codeword for e in out.entries)
         assert decided == sorted(decided)
-        assert sorted(grown) == sorted({c[:-1] for c in decided})
-        assert len(decided) == 3 * len(grown)
+        assert max(Counter(grown).values()) == 1
+        parents = {c[:-1] for c in decided}
+        if cp is None:
+            assert sorted(grown) == sorted(parents)
+            assert len(decided) == 3 * len(grown)
+        else:
+            prefixes = {c[:w] for c in decided for w in range(1, len(c))}
+            assert parents < set(grown) <= prefixes
         assert bool(companions) == (mode == "strong")
 
 

@@ -39,6 +39,8 @@ from collatzcert.tree import (
     grow_children,
     grow_record,
     key_path,
+    packed_cap,
+    unpack_keys,
     walk_nodes,
 )
 
@@ -141,7 +143,7 @@ def _compare_children(parents, caps_of):
             children = [parent + (d,) for d in range(3)]
             leaves = [_walk_leaves(child, cap) for child in children]
             record = grow_children(parent, cap)
-            assert record.cap == cap
+            assert packed_cap(record.packed) == cap
             assert list(record.witnesses) == leaves, (parent, cap)
             cases += 3
     return cases
@@ -187,17 +189,17 @@ def test_packed_records_round_trip():
     assert parents[-1][1] == 11_000
     for parent, own in parents:
         record = grow_children(parent, own)
-        assert record.cap == own
+        assert packed_cap(record.packed) == own
         walks = [_walk_leaves(parent + (d,), own) for d in range(3)]
         assert list(record.witnesses) == walks, parent
         for cap in range(own + 1):
             limit = 1 << (cap + 1)
             for d in range(3):
-                assert record.keys_within(d, cap) == [
+                assert unpack_keys(record.packed, d, cap) == [
                     key for key in walks[d] if key < limit], (parent, cap)
         with pytest.raises(ValueError,
                            match=f"cap {own + 1} is past the record's cap {own}"):
-            record.keys_within(2, own + 1)
+            unpack_keys(record.packed, 2, own + 1)
         widest = max(key.bit_length() for keys in walks for key in keys)
         assert record.packed.bit_length() <= (
             6 * widest + tree._WIDTH_BITS + own.bit_length()), parent

@@ -18,7 +18,9 @@ from collatzcert.tree import (
     grow_children,
     grow_record,
     key_path,
+    packed_cap,
     structure_signature,
+    unpack_keys,
     walk_integers,
     walk_nodes,
 )
@@ -111,25 +113,27 @@ class TestGrowthRecord:
         short = grow_children(parent, 3)
         assert isinstance(short, GrowthRecord)
         assert not hasattr(short, "__dict__")     # slotted
-        assert short.cap == 3 and len(short.witnesses) == 3
+        assert packed_cap(short.packed) == 3
+        assert len(short.witnesses) == 3
         assert short.witnesses[digit] == []
-        assert short.keys_within(digit, 3) == []
-        assert short.keys_within(digit, 2) == []
+        assert unpack_keys(short.packed, digit, 3) == []
+        assert unpack_keys(short.packed, digit, 2) == []
         # a deeper cap may find a leaf the record does not hold
         with pytest.raises(ValueError, match="cap 4 is past the record's cap 3"):
-            short.keys_within(digit, 4)
+            unpack_keys(short.packed, digit, 4)
         one = grow_children(parent, 5)
         assert _paths(one.witnesses[digit]) == ["0001"]
-        assert _paths(one.keys_within(digit, 5)) == ["0001"]
+        assert _paths(unpack_keys(one.packed, digit, 5)) == ["0001"]
         found = grow_children(parent, 10)
         assert _paths(found.witnesses[digit]) == ["0001", "000001"]
-        assert _paths(found.keys_within(digit, 10)) == ["0001", "000001"]
-        assert _paths(found.keys_within(digit, 5)) == ["0001"]
-        assert found.keys_within(digit, 3) == []
+        assert _paths(unpack_keys(found.packed, digit, 10)) == [
+            "0001", "000001"]
+        assert _paths(unpack_keys(found.packed, digit, 5)) == ["0001"]
+        assert unpack_keys(found.packed, digit, 3) == []
         # two keys are the first two leaves at any depth, but a record is
         # still not asked past its cap
         with pytest.raises(ValueError, match="past the record's cap 10"):
-            found.keys_within(digit, 40)
+            unpack_keys(found.packed, digit, 40)
 
     @pytest.mark.parametrize("parent,cap,expanded,peak,keys", [
         # up to 9 digits the tables answer the whole group: nothing walked
