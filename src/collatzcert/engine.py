@@ -286,9 +286,6 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
     wd = witness_key.bit_length() - 1
     unset = best = 1 << (caps[len(codeword) - 1] + 1)
     for w in range(1, len(codeword) - 1):
-        # a weight-w node is w 1-edges deep at least
-        if best < (2 << w) - 1:
-            break
         cap = caps[w]
         limit = min(best, 1 << (cap + 1))   # keys of depth <= cap lie below
         keys = _keys(memo, caps, name[:w], name[w])
@@ -350,9 +347,10 @@ def run(
 
     A codeword is decided, and split if it must be, before its next
     sibling.  Returns a Certificate when every codeword closes, and an
-    Unclosed report listing the codewords stuck at the weight cap, sorted,
-    otherwise; with ``stop_at_stuck`` the search returns at the first
-    stuck codeword, the least one, and reports only that one.  The result
+    Unclosed report listing the codewords stuck at the weight cap, in
+    canonical order, the order the search meets them, otherwise; with
+    ``stop_at_stuck`` the search returns at the first stuck codeword, the
+    least one, and reports only that one.  The result
     is a pure function of (alpha, mode, max_weight, stop_at_stuck): resume
     points and a carry cannot change a single byte of it.  A search from
     the roots splits no codeword of weight ``max_weight``, so one that a
@@ -455,5 +453,5 @@ def run(
         raise AssertionError(f"Kraft invariant broken: sum = {total}")
     if stuck:
         return Unclosed(alpha=alpha, mode=mode, max_weight=max_weight,
-                        open_codewords=sorted(stuck))
+                        open_codewords=stuck)
     return Certificate(alpha=alpha, mode=mode, entries=closed).sorted_canonically()

@@ -8,8 +8,12 @@ for the first two witness leaves: what lies below a node depends only on
 its class mod 3^m, and a leaf is at least m-1 edges below it.  Every
 growth the search makes is one ``grow_children``, whose ``_leaves`` merges
 leaves into three two-slot pairs, ascending and padded with the growth's
-key limit, so the worst key kept is always a pair's second slot.  The
-first two leaves below every class with m <= 10 are held in tables that
+key limit, so the worst key kept is always a pair's second slot.  One
+rule merges the first two leaves (low, high) below a node into a pair
+(first, second), in a growth and in a table's build alike: if low beats
+first, the pair becomes (low, min(first, high)); otherwise, if low beats
+second, second becomes low, for high then beats neither.  The first two
+leaves below every class with m <= 10 are held in tables that
 all growths share; a coarser node is walked depth-first along its 0-edge
 chain, each 1-edge child being walked in turn or read from its table.  So
 a growth holds what a table slot holds, the first two leaves, cut at its
@@ -219,35 +223,38 @@ def _leaves(v: int, m: int, key: int, bests, bound: int,
     ``bests[d]`` pairs the two smallest leaf keys found so far, ascending
     and padded with the growth's key limit, of the tree of sibling d, in
     which the node has the class v + d·2^D·3^(m-1) mod 3^m, D being its
-    depth.  A leaf is kept only if it beats its pair's second slot, so no
-    pad is ever kept as a key.  ``bound`` is the largest second slot, the
-    key a leaf must beat to be kept in any pair.  The tables answer a node
-    known mod 3^m with 2 <= m <= TABLE_MAX_EXPONENT, and a coarser one is
-    walked.
+    depth.  The node's first leaf is read, and only if it beats the pair's
+    second slot is its second read and the two merged by the one pair
+    rule (see the module docstring), so no pad is ever kept as a key.
+    ``bound`` is the largest second slot, the key a leaf must beat to be
+    kept in any pair.  The tables answer a node known mod 3^m with
+    2 <= m <= TABLE_MAX_EXPONENT, and a coarser one is walked.
+
+    v is prime to 3, and so is every sibling's class, which differs by a
+    multiple of 3, so a table slot read is never the 0 of a class that has
+    no leaves: a codeword's low digit is 1 or 2, and a 1-edge child of a
+    class 2 or 8 mod 9 is 1 or 2 mod 3.
     """
     if m > TABLE_MAX_EXPONENT:
         return _walk(v, m, key, bests, bound, stats)
     table = _leaf_tables[m] or _build_table(m)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
-    # the smallest leaf key below the node is its key followed by m-1 ones;
     # a relative key rel of depth d is the absolute key ((key - 1) << d) + rel
-    least, stem = ((key + 1) << (m - 1)) - 1, key - 1
+    stem = key - 1
     bound = 0
     for best in bests:
-        worst = best[1]
-        if least < worst:
-            rel = table[v + v]
-            leaf = (stem << (rel.bit_length() - 1)) + rel
-            if leaf < worst:
-                _keep(best, leaf)
-                rel = table[v + v + 1]
-                leaf = (stem << (rel.bit_length() - 1)) + rel
-                if leaf < best[1]:
-                    _keep(best, leaf)
-                worst = best[1]
-        if worst > bound:
-            bound = worst
+        rel = table[v + v]
+        low = (stem << (rel.bit_length() - 1)) + rel
+        if low < best[1]:
+            rel = table[v + v + 1]
+            high = (stem << (rel.bit_length() - 1)) + rel
+            if low < best[0]:
+                best[0], best[1] = low, min(best[0], high)
+            else:
+                best[1] = low
+        if best[1] > bound:
+            bound = best[1]
         v = (v + step) % mod
     return bound
 
@@ -288,15 +295,6 @@ def _walk(v: int, m: int, key: int, bests, bound: int,
     return bound
 
 
-def _keep(best: list[int], leaf: int) -> None:
-    """Put a leaf key that beats ``best[1]`` into the ascending pair,
-    dropping the pair's worst key or pad."""
-    if leaf < best[0]:
-        best[0], best[1] = leaf, best[0]
-    else:
-        best[1] = leaf
-
-
 def _build_table(m: int) -> array:
     """Build and keep table m, for 2 <= m <= TABLE_MAX_EXPONENT, from table
     m-1.
@@ -304,7 +302,8 @@ def _build_table(m: int) -> array:
     The first two leaves below a class v are the first two of the leaves
     below its 0-edge child 2v, one edge deeper, and, when v = 2 or 8 mod 9,
     those below its 1-edge child, a class mod 3^(m-1) whose leaves table
-    m-1 holds (for m == 2 that child is itself a leaf).  A relative key
+    m-1 holds (for m == 2 that child is itself a leaf); the two are merged
+    by the one pair rule of ``_leaves``.  A relative key
     k = (1 << d) | p one edge below becomes k + (1 << d) across a 0-edge and
     k + (2 << d) across a 1-edge.  Since 2 is a primitive root mod 3^m, the
     classes prime to 3 form one doubling cycle of length 2·3^(m-1), so one

@@ -327,24 +327,36 @@ class TestSweep:
                                                top, searches):
         assert sweep_both_ways(mode, top, cold=True) == searches
 
-    @pytest.mark.parametrize("mode,top,decisions", [
-        ("plain", 10, 600), ("strong", 8, 840)])
-    def test_close_decisions(self, monkeypatch, mode, top, decisions):
+    @pytest.mark.parametrize("mode,top,decisions,grows,companions", [
+        pytest.param("plain", 10, 600, 151, 0, id="plain-10-600"),
+        pytest.param("strong", 8, 840, 194, 245, id="strong-8-840"),
+        pytest.param("plain", 16, 25890, 5322, 0, id="plain-16-25890"),
+        pytest.param("strong", 13, 16617, 4009, 4389, id="strong-13-16617")])
+    def test_close_decisions(self, monkeypatch, mode, top, decisions, grows,
+                             companions):
         # each search carries the champion certificate and decides again
         # only its entries with a path below the new ratio, and each
         # level's failed search stops at its first stuck codeword; from
-        # the roots the same searches make 2247 and 2218, and run breadth
-        # first to the end 3681 and 3225
-        calls = []
-        real = engine._close_decision
+        # the roots the first two sweeps' searches make 2247 and 2218
+        # decisions, and run breadth first to the end 3681 and 3225.  The
+        # last two rows are the benchmark's sweeps, whose grows and
+        # companion calls pin the growth code's traffic at full size
+        names = ("_close_decision", "grow_children", "find_companion")
+        calls = dict.fromkeys(names, 0)
 
-        def decide(*args):
-            calls.append(args[0])
-            return real(*args)
+        def counted(name):
+            real = getattr(engine, name)
 
-        monkeypatch.setattr(engine, "_close_decision", decide)
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(engine, name, counted(name))
         SweepState(mode=mode).level(top)
-        assert len(calls) == decisions
+        assert list(calls.values()) == [decisions, grows, companions]
 
     @pytest.mark.parametrize("level", [0, 81])
     def test_refuses_a_level_out_of_range_before_any_search(self, monkeypatch,
