@@ -7,18 +7,18 @@ level's depth cap.  A split codeword's three children go on top, so a
 codeword and everything below it are decided before its next sibling,
 and the closed entries come in canonical order.  The trees of a group of
 siblings are grown in one lookup of their parent's tree (three table
-reads up to level 9, one walk above it), and the memo holds that
-lookup's one record, packed into one int, under the bytes of the parent.
-One read, ``_keys``, gives a codeword's leaf keys within its level's cap
-from its parent's record, growing the group if the record is missing:
-the close decision reads the codeword's own keys through it and renders
-the ones it keeps as paths, and the strong companion reads those of the
+reads up to level 9, one walk above it), and the memo holds the one
+int that lookup returns, under the bytes of the parent.  One read,
+``_keys``, gives a codeword's leaf keys within its level's cap from its
+parent's int, growing the group if the int is missing: the close
+decision reads the codeword's own keys through it and renders the ones
+it keeps as paths, and the strong companion reads those of the
 codeword's prefixes.  A memo, the caller's cache or the search's own,
-keeps every record grown into it for as long as it lives, so each group
-is grown at most once, and is never asked a record past its cap.
-Splitting a codeword into its three one-digit extensions preserves the
-prefix-code property, which is asserted as an exact Kraft identity, by
-the verifier's count, once per search.
+keeps every int grown into it for as long as it lives, so each group is
+grown at most once, and is never asked past its cap.  Splitting a
+codeword into its three one-digit extensions preserves the prefix-code
+property, which is asserted as an exact Kraft identity, by the
+verifier's count, once per search.
 
 A run with a checkpoint writes the file whole once, as segment 0: the
 entries it carries over and the codewords it starts from, in canonical
@@ -233,7 +233,7 @@ def _keys(memo: dict, caps: list[int], name: bytes, digit: int) -> list[int]:
     cap = caps[len(name)]
     packed = memo.get(name)
     if packed is None:
-        packed = memo[name] = grow_children(tuple(name), cap).packed
+        packed = memo[name] = grow_children(tuple(name), cap)
     return unpack_keys(packed, digit, cap)
 
 

@@ -18,7 +18,7 @@ all growths share; a coarser node is walked depth-first along its 0-edge
 chain, each 1-edge child being walked in turn or read from its table.  So
 a growth holds what a table slot holds, the first two leaves, cut at its
 cap: plain mode reads the first, strong mode both, and the companion those
-of a codeword's prefixes.  Only the growth record drops the pads.
+of a codeword's prefixes.  Only the packed record drops the pads.
 
 Table m is built whole from table m-1 the first time a growth needs it:
 the leaves below a class are those below its 0-edge child, one edge
@@ -30,10 +30,10 @@ The search grows siblings, because the engine splits a codeword into all
 three of its one-digit extensions at once: ``grow_children`` finds the
 leaves of c·0, c·1 and c·2 in one lookup, since up to weight l their trees
 have the shape of the tree of c and their classes differ by a known
-multiple of the top power of 3; its one record holds what the lookup
-cost and one int, which packs the cap and the three key pairs and is all
-the engine's memo keeps of the group.  ``unpack_keys`` is the one
-decoder of that int, and ``grow_record`` gives one codeword's keys.
+multiple of the top power of 3.  It returns the group's packed growth
+record, one int that packs the cap and the three key pairs, which the
+engine's memo keeps as it is.  ``unpack_keys`` is the one decoder of
+that int, and ``grow_record`` gives one codeword's keys.
 
 A node at depth d reached by the edge labels p (first edge highest) is
 named by its key (1 << d) | p, so keys order by depth and then
@@ -51,7 +51,6 @@ same terms, so the two can be compared.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -106,34 +105,6 @@ _WIDTH_BITS = 9
 _WIDTH_MASK = (1 << _WIDTH_BITS) - 1
 
 
-@dataclass(slots=True)
-class GrowthRecord:
-    """What one ``grow_children`` lookup learned about the trees of a
-    codeword's three one-digit extensions: a table slot's answer for each,
-    cut at a cap.
-
-    ``packed`` holds the cap and, for each child d, the keys of its first
-    two weight-l leaves within the cap, ascending, which is canonical
-    order.  ``unpack_keys`` is its one decoder and ``packed_cap`` reads
-    its cap; ``witnesses[d]`` is child d's list, decoded at that cap.
-    Fewer than two keys means there are no more within the cap; two of
-    them are the first two leaves at any depth.
-    ``nodes_expanded`` counts the 1-edges the lookup walked and
-    ``frontier_peak`` is its deepest search stack; a group answered from
-    the tables walked nothing and reports 0 and 1.  The engine's memo
-    keeps ``packed`` alone, one int per parent.
-    """
-
-    packed: int
-    nodes_expanded: int
-    frontier_peak: int
-
-    @property
-    def witnesses(self) -> tuple[list[int], list[int], list[int]]:
-        cap = packed_cap(self.packed)
-        return tuple(unpack_keys(self.packed, d, cap) for d in range(3))
-
-
 def packed_cap(packed: int) -> int:
     """The cap a packed growth record was grown at."""
     return packed >> (_WIDTH_BITS + 6 * (packed & _WIDTH_MASK))
@@ -169,9 +140,9 @@ def _pack(cap: int, bests, limit: int) -> int:
     return packed << _WIDTH_BITS | width
 
 
-def grow_children(codeword, depth_cap: int) -> GrowthRecord:
-    """The growth record of the three one-digit extensions c·0, c·1, c·2
-    of a codeword c, from one lookup of their shared tree.
+def grow_children(codeword, depth_cap: int) -> int:
+    """The packed growth record of the three one-digit extensions c·0,
+    c·1, c·2 of a codeword c, from one lookup of their shared tree.
 
     Up to weight l the tree of c·d has the shape of the tree of c, and a
     node of depth D known mod 3^m in the tree of c·0 has the class
@@ -180,9 +151,8 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     at once, which is the whole lookup when c has at most 9 digits, and a
     walk of the tree of c·0 cuts a 0-edge chain at the worst leaf kept for
     any of them.  Each child's pair starts as two pads, the key limit of
-    the cap, and the record packs the keys below that limit, so its lists
-    hold no pad.  ``witnesses[d]`` equals ``grow_record(c + (d,),
-    depth_cap)``.
+    the cap, and the int packs the keys below that limit, so no list
+    ``unpack_keys`` decodes holds a pad.
     """
     c = check_codeword(codeword)
     if c[0] == 0:
@@ -190,33 +160,24 @@ def grow_children(codeword, depth_cap: int) -> GrowthRecord:
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
 
-    m = len(c) + 1
     limit = 1 << (depth_cap + 1)          # keys of depth <= cap lie below
     bests = ([limit, limit], [limit, limit], [limit, limit])
-    stats = [0, m]
-    _leaves(codeword_value(c), m, 1, bests, limit, stats)
-    return GrowthRecord(packed=_pack(depth_cap, bests, limit),
-                        nodes_expanded=stats[0], frontier_peak=m - stats[1] + 1)
+    _leaves(codeword_value(c), len(c) + 1, 1, bests, limit)
+    return _pack(depth_cap, bests, limit)
 
 
 def grow_record(codeword, depth_cap: int) -> list[int]:
     """The keys of the first two weight-l leaves of one codeword's tree
-    within the cap, from ``grow_children`` of its parent.
-
-    From each class walked the search follows the 0-edge chain
-    v -> 2v mod 3^m and looks up the leaves of every 1-edge child it meets,
-    keeping the two smallest leaf keys of depth at most depth_cap.  A leaf
-    below a class known mod 3^m is at least m-1 edges away, which ends
-    every chain at the cap or at the second leaf kept.
-    """
+    within the cap, ascending: ``unpack_keys`` of its digit in the
+    ``grow_children`` of its parent.  Fewer than two means there are no
+    more within the cap."""
     c = check_codeword(codeword)
     if len(c) < 2:
         raise ValueError("growth needs a codeword of length >= 2 (level >= 1)")
-    return grow_children(c[:-1], depth_cap).witnesses[c[-1]]
+    return unpack_keys(grow_children(c[:-1], depth_cap), c[-1], depth_cap)
 
 
-def _leaves(v: int, m: int, key: int, bests, bound: int,
-            stats: list[int]) -> int:
+def _leaves(v: int, m: int, key: int, bests, bound: int) -> int:
     """Merge the first two leaves below a node, whose key is ``key``, into
     ``bests``, and return the key a leaf must now beat to be kept.
 
@@ -236,7 +197,7 @@ def _leaves(v: int, m: int, key: int, bests, bound: int,
     class 2 or 8 mod 9 is 1 or 2 mod 3.
     """
     if m > TABLE_MAX_EXPONENT:
-        return _walk(v, m, key, bests, bound, stats)
+        return _walk(v, m, key, bests, bound)
     table = _leaf_tables[m] or _build_table(m)
     # siblings' classes step by 2^D·3^(m-1), and 2^D = 1 or 2 mod 3
     mod, step = POW3[m], (2 - (key.bit_length() & 1)) * POW3[m - 1]
@@ -259,18 +220,14 @@ def _leaves(v: int, m: int, key: int, bests, bound: int,
     return bound
 
 
-def _walk(v: int, m: int, key: int, bests, bound: int,
-          stats: list[int]) -> int:
+def _walk(v: int, m: int, key: int, bests, bound: int) -> int:
     """``_leaves`` of a node known mod 3^m, m > TABLE_MAX_EXPONENT, by
     walking its 0-edge chain.
 
     Every 1-edge off the chain leads to a child known mod 3^(m-1), which is
-    walked in turn or, once it is fine enough, read from its table.
-    ``stats[0]`` counts the 1-edges followed and ``stats[1]`` tracks the
-    smallest exponent walked, and so the depth of the search stack.
+    walked in turn or, once it is fine enough, read from its table, so the
+    walk nests at most m - TABLE_MAX_EXPONENT deep.
     """
-    if m < stats[1]:
-        stats[1] = m
     mod, sub, reach = POW3[m], POW3[m - 1], m - 1
     descend = _walk if reach > TABLE_MAX_EXPONENT else _leaves
     # along a 0-edge chain v mod 9 runs through 1, 2, 4, 8, 7, 5, so the
@@ -278,20 +235,17 @@ def _walk(v: int, m: int, key: int, bests, bound: int,
     r = v % 9
     while r != 2 and r != 8:
         v, key, r = (v + v) % mod, key + key, (r + r) % 9
-    steps = 0
     # the smallest leaf key below a node is its key followed by m-1 ones,
     # so one with a key above ``top`` holds none below the bound
     top = (bound >> reach) - 1
     while key <= top:
-        steps += 1
         bound = descend(((v + v - 1) // 3) % sub, reach, key + key + 1,
-                        bests, bound, stats)
+                        bests, bound)
         top = (bound >> reach) - 1
         if r == 2:
             v, key, r = (v << 2) % mod, key << 2, 8
         else:
             v, key, r = (v << 4) % mod, key << 4, 2
-    stats[0] += steps
     return bound
 
 

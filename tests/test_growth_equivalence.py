@@ -67,6 +67,12 @@ def _sampled_codewords(levels=range(10, 16), per_level=12, seed=2024):
                 yield codeword_of_int(v, level + 1)
 
 
+def _children_keys(packed):
+    """The three children's key lists of a packed record, at its cap."""
+    cap = packed_cap(packed)
+    return [unpack_keys(packed, d, cap) for d in range(3)]
+
+
 def _cap(codeword, alpha):
     return (len(codeword) - 1) * alpha.denominator // alpha.numerator
 
@@ -142,9 +148,9 @@ def _compare_children(parents, caps_of):
         for cap in caps_of(parent):
             children = [parent + (d,) for d in range(3)]
             leaves = [_walk_leaves(child, cap) for child in children]
-            record = grow_children(parent, cap)
-            assert packed_cap(record.packed) == cap
-            assert list(record.witnesses) == leaves, (parent, cap)
+            packed = grow_children(parent, cap)
+            assert packed_cap(packed) == cap
+            assert _children_keys(packed) == leaves, (parent, cap)
             cases += 3
     return cases
 
@@ -164,7 +170,7 @@ def test_children_of_sampled_parents_across_the_table_boundary():
     def caps_of(parent):
         level = len(parent)
         firsts = [keys[0].bit_length() - 1
-                  for keys in grow_children(parent, 4 * level).witnesses]
+                  for keys in _children_keys(grow_children(parent, 4 * level))]
         return sorted({*firsts, *(k - 1 for k in firsts), 4 * level})
 
     # the children of a level-9 parent are the first whose roots lie above
@@ -188,20 +194,20 @@ def test_packed_records_round_trip():
     parents.append((wide, depth_cap(len(wide), Fraction(1, 1000))))
     assert parents[-1][1] == 11_000
     for parent, own in parents:
-        record = grow_children(parent, own)
-        assert packed_cap(record.packed) == own
+        packed = grow_children(parent, own)
+        assert packed_cap(packed) == own
         walks = [_walk_leaves(parent + (d,), own) for d in range(3)]
-        assert list(record.witnesses) == walks, parent
+        assert _children_keys(packed) == walks, parent
         for cap in range(own + 1):
             limit = 1 << (cap + 1)
             for d in range(3):
-                assert unpack_keys(record.packed, d, cap) == [
+                assert unpack_keys(packed, d, cap) == [
                     key for key in walks[d] if key < limit], (parent, cap)
         with pytest.raises(ValueError,
                            match=f"cap {own + 1} is past the record's cap {own}"):
-            unpack_keys(record.packed, 2, own + 1)
+            unpack_keys(packed, 2, own + 1)
         widest = max(key.bit_length() for keys in walks for key in keys)
-        assert record.packed.bit_length() <= (
+        assert packed.bit_length() <= (
             6 * widest + tree._WIDTH_BITS + own.bit_length()), parent
 
 
@@ -238,7 +244,7 @@ def test_leaf_tables_from_fresh(monkeypatch):
             assert 0 < first < second < limit, (v, m)
             deepest = max(deepest, second.bit_length() - 1)
             best = [limit, limit]
-            tree._walk(v, m, 1, (best,), limit, [0, m])
+            tree._walk(v, m, 1, (best,), limit)
             assert best == [first, second], (v, m)
             if m <= 6:
                 walked += 1
@@ -263,7 +269,7 @@ def test_leaves_two_steps_apart_on_one_chain():
     # the first leaf of the parent (2, 2, 1) is 11; in the tree of the child
     # ending in 1 its 0-edge chain meets the 1-edges after one zero and after
     # three, so both of the child's first leaves come from it
-    keys = grow_children((2, 2, 1), 6).witnesses[1]
+    keys = _children_keys(grow_children((2, 2, 1), 6))[1]
     assert keys == grow_record((2, 2, 1, 1), 6)
     assert keys == [29, 113]
     assert [key_path(k) for k in keys] == ["1101", "110001"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from collatzcert import tree
 from collatzcert.certify import depth_cap
 from collatzcert.engine import find_companion
 from collatzcert.numth import (
@@ -13,7 +14,7 @@ from collatzcert.numth import (
     t_map,
 )
 from collatzcert.tree import (
-    GrowthRecord,
+    TABLE_MAX_EXPONENT,
     count_structures,
     grow_children,
     grow_record,
@@ -105,35 +106,35 @@ class TestGrowCritical:
             assert fast == slow[:2]
 
 
+def _children_keys(packed):
+    """The three children's key lists of a packed record, at its cap."""
+    cap = packed_cap(packed)
+    return tuple(unpack_keys(packed, d, cap) for d in range(3))
+
+
 class TestGrowthRecord:
     def test_keys_within(self):
         # the first full-weight leaf of class 21 lies at depth 4
         c = codeword_from_display("21")
         parent, digit = c[:-1], c[-1]
         short = grow_children(parent, 3)
-        assert isinstance(short, GrowthRecord)
-        assert not hasattr(short, "__dict__")     # slotted
-        assert packed_cap(short.packed) == 3
-        assert len(short.witnesses) == 3
-        assert short.witnesses[digit] == []
-        assert unpack_keys(short.packed, digit, 3) == []
-        assert unpack_keys(short.packed, digit, 2) == []
+        assert type(short) is int
+        assert packed_cap(short) == 3
+        assert unpack_keys(short, digit, 3) == []
+        assert unpack_keys(short, digit, 2) == []
         # a deeper cap may find a leaf the record does not hold
         with pytest.raises(ValueError, match="cap 4 is past the record's cap 3"):
-            unpack_keys(short.packed, digit, 4)
+            unpack_keys(short, digit, 4)
         one = grow_children(parent, 5)
-        assert _paths(one.witnesses[digit]) == ["0001"]
-        assert _paths(unpack_keys(one.packed, digit, 5)) == ["0001"]
+        assert _paths(unpack_keys(one, digit, 5)) == ["0001"]
         found = grow_children(parent, 10)
-        assert _paths(found.witnesses[digit]) == ["0001", "000001"]
-        assert _paths(unpack_keys(found.packed, digit, 10)) == [
-            "0001", "000001"]
-        assert _paths(unpack_keys(found.packed, digit, 5)) == ["0001"]
-        assert unpack_keys(found.packed, digit, 3) == []
+        assert _paths(unpack_keys(found, digit, 10)) == ["0001", "000001"]
+        assert _paths(unpack_keys(found, digit, 5)) == ["0001"]
+        assert unpack_keys(found, digit, 3) == []
         # two keys are the first two leaves at any depth, but a record is
         # still not asked past its cap
         with pytest.raises(ValueError, match="past the record's cap 10"):
-            unpack_keys(found.packed, digit, 40)
+            unpack_keys(found, digit, 40)
 
     @pytest.mark.parametrize("parent,cap,expanded,peak,keys", [
         # up to 9 digits the tables answer the whole group: nothing walked
@@ -152,11 +153,32 @@ class TestGrowthRecord:
          ([71710669, 143421331], [143421331, 143421381],
           [71710669, 143421381])),
     ])
-    def test_growth_counters(self, parent, cap, expanded, peak, keys):
-        record = grow_children(parent, cap)
-        assert record.nodes_expanded == expanded
-        assert record.frontier_peak == peak
-        assert record.witnesses == keys
+    def test_growth_counters(self, monkeypatch, parent, cap, expanded, peak,
+                             keys):
+        # the walk's work, counted from outside: a grow calls its root's
+        # _leaves, which hands a class above the tables to _walk, and then
+        # one call per 1-edge walked; the deepest _walk nesting, at least
+        # 1, is the search stack's
+        calls, depth = [0], [0, 1]
+
+        def counted(real, nests):
+            def call(*args):
+                calls[0] += 1
+                depth[0] += nests
+                depth[1] = max(depth[1], depth[0])
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= nests
+            return call
+
+        monkeypatch.setattr(tree, "_walk", counted(tree._walk, 1))
+        monkeypatch.setattr(tree, "_leaves", counted(tree._leaves, 0))
+        packed = grow_children(parent, cap)
+        m = len(parent) + 1
+        assert calls[0] == expanded + 1 + (m > TABLE_MAX_EXPONENT)
+        assert depth[1] == peak
+        assert _children_keys(packed) == keys
 
 
 class TestConservation:
