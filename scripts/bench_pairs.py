@@ -1,6 +1,8 @@
 """Run the benchmark on two checkouts in alternating pairs and write one
 BENCH file: every run, and per workload and metric the medians, quartiles
-and the number of pairs in which the change read lower.
+and the number of pairs in which the change read lower, and the paired
+verdict: the median of the per-pair ratios of change to parent, minus 1,
+with its sign-test interval.
 
 Usage:
 
@@ -13,8 +15,15 @@ change first in even ones, so that a drift in the host's load falls on
 both sides.  Before any run, both checkouts are compiled to bytecode:
 ``setup_s`` is the time a fresh process takes to import the package, and a
 checkout without compiled bytecode would pay for compiling it in every
-repetition.  Standard library only.  Exits 1 if any run failed or reported
-``correct`` other than true.
+repetition.
+
+The sign-test interval of the median per-pair ratio runs from order
+statistic k to order statistic n+1-k of the n ratios, and covers the median
+with probability exactly 1 - 2 P(Bin(n, 1/2) <= k-1) whatever their
+distribution.  k is the largest value that keeps that coverage at 95% or
+more: for 10 pairs, order statistics 2 and 9, with coverage 97.9%.  Below 6
+pairs no k does, and the interval is null.  Standard library only.  Exits 1
+if any run failed or reported ``correct`` other than true.
 """
 
 from __future__ import annotations
@@ -26,10 +35,13 @@ import platform
 import statistics
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 SIDES = ("parent", "change")
 METRICS = ("setup_s", "total_s", "cpu_s", "peak_rss_mb")
+# the least coverage of a reported sign-test interval
+COVERAGE = 0.95
 # room for bench/run.py's own watchdog, which stops a child after 150 s
 RUN_TIMEOUT_SLACK_S = 600
 
@@ -87,6 +99,28 @@ def _spread(values: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
 
 
+def sign_interval(fracs: list[float]) -> dict | None:
+    """The sign-test interval of the median of ``fracs``, order statistics
+    k and n+1-k with k as large as keeps the exact coverage at or above
+    COVERAGE, or None when no k does."""
+    n = len(fracs)
+    found = None
+    below = 0                         # 2^n P(Bin(n, 1/2) <= k-1)
+    for k in range(1, (n + 1) // 2 + 1):
+        below += comb(n, k - 1)
+        coverage = 1 - 2 * below / 2 ** n
+        if coverage < COVERAGE:
+            break
+        found = k, coverage
+    if found is None:
+        return None
+    k, coverage = found
+    ordered = sorted(fracs)
+    return {"low": round(ordered[k - 1], 4), "high": round(ordered[n - k], 4),
+            "order_statistics": [k, n + 1 - k],
+            "coverage": round(coverage, 4)}
+
+
 def summarise(runs: list[dict], workload: str) -> dict:
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -96,6 +130,7 @@ def summarise(runs: list[dict], workload: str) -> dict:
     for metric in METRICS:
         values = {side: [] for side in SIDES}
         lower = compared = 0
+        fracs = []                    # change / parent - 1, pair by pair
         for sides in by_seed.values():
             got = {side: sides.get(side, {}).get("metrics", {}).get(metric)
                    for side in SIDES}
@@ -104,13 +139,19 @@ def summarise(runs: list[dict], workload: str) -> dict:
                     values[side].append(got[side]["value"])
             if None not in got.values():
                 compared += 1
-                lower += got["change"]["value"] < got["parent"]["value"]
+                change, parent = got["change"]["value"], got["parent"]["value"]
+                lower += change < parent
+                if parent:
+                    fracs.append(change / parent - 1)
         if not values["parent"] or not values["change"]:
             continue
         entry = {side: _spread(values[side]) for side in SIDES}
         entry["change_lower_in_pairs"] = f"{lower}/{compared}"
         entry["median_change_frac"] = round(
             entry["change"]["median"] / entry["parent"]["median"] - 1, 4)
+        entry["median_pair_frac"] = (round(statistics.median(fracs), 4)
+                                     if fracs else None)
+        entry["pair_frac_interval"] = sign_interval(fracs)
         out[metric] = entry
     results = [sides[side] for sides in by_seed.values() for side in sides]
     out["all_correct"] = all(r.get("correct") is True for r in results)

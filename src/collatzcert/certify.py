@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .numth import (
     BRANCHING_MOD9,
@@ -23,10 +24,11 @@ from .numth import (
     POW3,
     check_codeword,
     codeword_display,
-    codeword_from_display,
     codeword_value,
     t_map,
     trajectory,
+    word_display,
+    word_from_display,
 )
 PLAIN = "plain"
 STRONG = "strong"
@@ -34,23 +36,51 @@ STRONG = "strong"
 SWEEP_FLOOR = Fraction(1, 7)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CertificateEntry:
-    """One closed codeword with its path or path pair."""
+    """One closed codeword with its path or path pair, held in two slots.
 
-    codeword: tuple[int, ...]
-    paths: tuple[str, ...]
+    ``word`` is the codeword's digits as bytes, low digit first, as
+    ``bytes(codeword)`` gives them, so bytes order is canonical order.
+    ``path_text`` is its paths joined by one space, so a plain entry's one
+    path is that str itself, or None for an entry with no path.  A
+    codeword given as bytes is taken as it is, as ``parse_entry`` and the
+    search make it; any other is checked by ``check_codeword`` first.  A
+    path may not hold a space.  ``codeword``, ``paths``, ``level``,
+    ``display`` and ``to_line`` are derived from the two slots.
+    """
+
+    word: bytes
+    path_text: str | None
+
+    def __init__(self, codeword, paths):
+        if type(codeword) is not bytes:
+            codeword = bytes(check_codeword(codeword))
+        text = " ".join(paths) if paths else None
+        if text is not None and text.count(" ") != len(paths) - 1:
+            raise ValueError(f"a path holds a space: {tuple(paths)}")
+        object.__setattr__(self, "word", codeword)
+        object.__setattr__(self, "path_text", text)
+
+    @property
+    def codeword(self) -> tuple[int, ...]:
+        return tuple(self.word)
+
+    @property
+    def paths(self) -> tuple[str, ...]:
+        text = self.path_text
+        return () if text is None else tuple(text.split(" "))
 
     @property
     def level(self) -> int:
-        return len(self.codeword) - 1
+        return len(self.word) - 1
 
     @property
     def display(self) -> str:
-        return codeword_display(self.codeword)
+        return word_display(self.word)
 
     def to_line(self) -> str:
-        parts = [self.display, str(self.level)]
+        parts = [word_display(self.word), str(len(self.word) - 1)]
         for p in self.paths:
             parts.append(str(len(p)))
             parts.append(p)
@@ -82,7 +112,8 @@ class Certificate:
         cross-multiplication, and one Fraction is built, for the answer."""
         num, den = 1, 0                   # above every ratio
         for e in self.entries:
-            for p in e.paths:
+            # no path reads as one empty path, which lowers nothing
+            for p in (e.path_text or "").split(" "):
                 ones = p.count("1")
                 if ones * den < num * len(p):
                     num, den = ones, len(p)
@@ -91,7 +122,7 @@ class Certificate:
         return Fraction(num, den)
 
     def sorted_canonically(self) -> "Certificate":
-        return replace(self, entries=sorted(self.entries, key=lambda e: e.codeword))
+        return replace(self, entries=sorted(self.entries, key=attrgetter("word")))
 
     def to_text(self) -> str:
         lines = [f"certificate v1 mode={self.mode} alpha={self.alpha.numerator}/{self.alpha.denominator}"]
@@ -175,15 +206,17 @@ def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> lis
     entry's display, rendered only for an entry that has one."""
     found = []                      # (path index, position, reason)
     want_paths = 2 if mode == STRONG else 1
-    if len(entry.paths) != want_paths:
+    paths = entry.paths
+    if len(paths) != want_paths:
         found.append((None, None,
-                      f"{mode} entry carries {len(entry.paths)} paths, needs {want_paths}"))
-    level = entry.level
-    for i, p in enumerate(entry.paths):
+                      f"{mode} entry carries {len(paths)} paths, needs {want_paths}"))
+    word = entry.word
+    level = len(word) - 1
+    for i, p in enumerate(paths):
         if not p:
             found.append((i, None, "empty path"))
             continue
-        v = replay_path(entry.codeword, p)
+        v = replay_path(word, p)
         if v is not None:
             found.append((i, v.position, v.reason))
             continue
@@ -194,8 +227,8 @@ def entry_violations(entry: CertificateEntry, alpha: Fraction, mode: str) -> lis
             found.append((i, None,
                           f"ones-ratio {w}/{len(p)} below alpha "
                           f"{alpha.numerator}/{alpha.denominator}"))
-    if mode == STRONG and len(entry.paths) == 2:
-        a, b = entry.paths
+    if mode == STRONG and len(paths) == 2:
+        a, b = paths
         if a.startswith(b) or b.startswith(a):
             found.append((None, None, "the two paths are prefix-related"))
     if not found:
@@ -217,11 +250,13 @@ def kraft_mismatch(codewords) -> Fraction | None:
     return None if units == POW3[top] else Fraction(units, POW3[top])
 
 
-def code_violations(codewords: list[tuple[int, ...]]) -> list[Violation]:
+def code_violations(codewords: list) -> list[Violation]:
     """Whole-code checks: no codeword listed twice or a prefix of another,
-    and a Kraft sum of exactly 1 together with the reserved word (0)."""
+    and a Kraft sum of exactly 1 together with the reserved word (0).  The
+    codewords are tuples or, as ``verify`` passes them, entries' words:
+    they are only hashed, sliced and measured."""
     out: list[Violation] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set = set()
     for c in codewords:
         if c in seen:
             out.append(Violation(codeword_display(c), None, None, "duplicate codeword"))
@@ -256,7 +291,7 @@ def verify(cert: Certificate) -> list[Violation]:
         out.append(Violation(None, None, None, "certificate has no entries"))
         return out
 
-    out.extend(code_violations([e.codeword for e in cert.entries]))
+    out.extend(code_violations([e.word for e in cert.entries]))
     for e in cert.entries:
         out.extend(entry_violations(e, cert.alpha, cert.mode))
     return out
@@ -342,10 +377,10 @@ def parse_entry(line: str) -> CertificateEntry:
     parts = line.split()
     if len(parts) not in (4, 6):
         raise ValueError(f"entry needs 4 or 6 fields, got {len(parts)}")
-    codeword = codeword_from_display(parts[0])
-    if not _is_number(parts[1]) or int(parts[1]) != len(codeword) - 1:
+    word = word_from_display(parts[0])
+    if not _is_number(parts[1]) or int(parts[1]) != len(word) - 1:
         raise ValueError(
-            f"level {parts[1]} does not match codeword length {len(codeword)}")
+            f"level {parts[1]} does not match codeword length {len(word)}")
     paths = []
     for length_s, path in zip(parts[2::2], parts[3::2]):
         if not _is_number(length_s) or int(length_s) != len(path):
@@ -353,7 +388,7 @@ def parse_entry(line: str) -> CertificateEntry:
         if path.strip("01"):
             raise ValueError(f"bad path string {path!r}")
         paths.append(path)
-    return CertificateEntry(codeword=codeword, paths=tuple(paths))
+    return CertificateEntry(word, paths)
 
 
 def load_certificate(path) -> Certificate:

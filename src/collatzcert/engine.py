@@ -193,9 +193,10 @@ def save_checkpoint(record: CheckpointState | list, path) -> None:
                 else f"stuck {codeword_display(d)}\n" for d in record)
         return
     alpha = record.alpha
-    records = [(e.codeword, f"closed {e.to_line()}") for e in record.closed]
-    records.extend((c, f"stuck {codeword_display(c)}") for c in record.stuck)
-    records.extend((c, f"open {codeword_display(c)}")
+    records = [(e.word, f"closed {e.to_line()}") for e in record.closed]
+    records.extend((bytes(c), f"stuck {codeword_display(c)}")
+                   for c in record.stuck)
+    records.extend((bytes(c), f"open {codeword_display(c)}")
                    for c in record.open_codewords)
     records.sort(key=itemgetter(0))
     lines = [f"checkpoint v4 mode={record.mode} "
@@ -327,8 +328,11 @@ def _carried(carry: Certificate, alpha: Fraction,
     an, ad = alpha.numerator, alpha.denominator
     start, closed = [], []
     for e in carry.entries:
-        if any(p.count("1") * ad < an * len(p) for p in e.paths):
-            start.append(e.codeword)
+        # no path reads as one empty path, which is below no ratio
+        for p in (e.path_text or "").split(" "):
+            if p.count("1") * ad < an * len(p):
+                start.append(e.codeword)
+                break
         else:
             closed.append(e)
     return sorted(start), closed
@@ -411,7 +415,7 @@ def run(
         closed = state.closed
     elif carry is not None:
         start, closed = _carried(carry, alpha, mode)
-    top = max([*start, *(e.codeword for e in closed)], key=len, default=())
+    top = max([*start, *(e.word for e in closed)], key=len, default=())
     if len(top) - 1 > max_weight:
         source = f"checkpoint {checkpoint_path}: " if resumed else ""
         raise ValueError(f"{source}cannot carry codeword "
@@ -434,7 +438,7 @@ def run(
             log = []
         paths = _close_decision(c, memo, caps, mode)
         if paths is not None:
-            closed.append(CertificateEntry(codeword=c, paths=paths))
+            closed.append(CertificateEntry(bytes(c), paths))
             if log is not None:
                 log.append(closed[-1])
         elif len(c) - 1 < max_weight:
@@ -448,7 +452,7 @@ def run(
     if log:
         save_checkpoint(log, checkpoint_path)
 
-    total = kraft_mismatch([*todo, *stuck, *(e.codeword for e in closed)])
+    total = kraft_mismatch([*todo, *stuck, *(e.word for e in closed)])
     if total is not None:
         raise AssertionError(f"Kraft invariant broken: sum = {total}")
     if stuck:

@@ -157,15 +157,28 @@ def codeword_value(c) -> int:
 
 def codeword_display(c) -> str:
     """Print digits most-significant-first, preserving leading zeros."""
-    c = check_codeword(c)
-    return bytes(c[::-1]).translate(_DIGIT_TO_CHAR).decode("ascii")
+    return word_display(bytes(check_codeword(c)))
+
+
+def word_display(word: bytes) -> str:
+    """The display of a codeword held as bytes, low digit first, whose
+    digits are already checked."""
+    return word[::-1].translate(_DIGIT_TO_CHAR).decode("ascii")
+
+
+def word_from_display(s: str) -> bytes:
+    """Parse a most-significant-first digit string into a codeword's
+    bytes, low digit first, checked as ``check_codeword`` checks."""
+    if not s or s.strip("012"):
+        raise ValueError(f"bad ternary display string {s!r}")
+    word = s[::-1].encode("ascii").translate(_CHAR_TO_DIGIT)
+    check_codeword(word)
+    return word
 
 
 def codeword_from_display(s: str) -> tuple[int, ...]:
     """Parse a most-significant-first digit string back into a codeword."""
-    if not s or s.strip("012"):
-        raise ValueError(f"bad ternary display string {s!r}")
-    return check_codeword(s[::-1].encode("ascii").translate(_CHAR_TO_DIGIT))
+    return tuple(word_from_display(s))
 
 
 def codeword_of_int(n: int, length: int) -> tuple[int, ...]:

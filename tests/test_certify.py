@@ -18,6 +18,7 @@ from collatzcert.certify import (
     farey_successor,
     kraft_mismatch,
     parse_certificate,
+    parse_entry,
     parse_ratio,
     replay_path,
     search,
@@ -25,7 +26,7 @@ from collatzcert.certify import (
     witnesses,
 )
 from collatzcert.engine import parse_checkpoint
-from collatzcert.numth import t_map
+from collatzcert.numth import codeword_display, t_map
 from collatzcert.tree import walk_nodes
 
 # Text near both file formats: a known header, then lines of an optional
@@ -101,7 +102,7 @@ class TestVerify:
     def test_path_mutation_is_rejected(self, reference_plain):
         entries = list(reference_plain.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "12")
-        entries[idx] = replace(entries[idx], paths=("011",))
+        entries[idx] = CertificateEntry(entries[idx].codeword, ("011",))
         bad = replace(reference_plain, entries=entries)
         out = verify(bad)
         assert out
@@ -125,7 +126,7 @@ class TestVerify:
     def test_underweight_path_needs_ratio(self, reference_plain):
         entries = list(reference_plain.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "02")
-        entries[idx] = replace(entries[idx], paths=("0",))
+        entries[idx] = CertificateEntry(entries[idx].codeword, ("0",))
         out = verify(replace(reference_plain, entries=entries))
         assert any("ones-ratio" in v.reason for v in out)
 
@@ -135,19 +136,20 @@ class TestVerify:
         cert = parse_certificate(reference_plain_text())
         entries = list(cert.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "01")
-        entries[idx] = replace(entries[idx], paths=("010",))
+        entries[idx] = CertificateEntry(entries[idx].codeword, ("010",))
         out = verify(replace(cert, entries=entries))
         assert any("end with a 1-edge" in v.reason for v in out)
 
     def test_strong_prefix_pair_is_rejected(self, reference_strong):
         entries = list(reference_strong.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "02")
-        entries[idx] = replace(entries[idx], paths=("1", "100"))
+        entries[idx] = CertificateEntry(entries[idx].codeword, ("1", "100"))
         out = verify(replace(reference_strong, entries=entries))
         assert any("prefix-related" in v.reason for v in out)
 
     def test_strong_with_second_paths_dropped_passes_plain(self, reference_strong):
-        entries = [replace(e, paths=e.paths[:1]) for e in reference_strong.entries]
+        entries = [CertificateEntry(e.codeword, e.paths[:1])
+                   for e in reference_strong.entries]
         plain = Certificate(alpha=reference_strong.alpha, mode="plain",
                             entries=entries)
         assert verify(plain) == []
@@ -161,6 +163,61 @@ class TestVerify:
                                                  "plain")] == [
             "entry 22, path 1, position 1: 1-edge after weight reached the "
             "level (class mod 9 undetermined)"]
+
+
+_ENTRY_CODEWORDS = st.builds(lambda low, rest: (low, *rest),
+                             st.sampled_from((1, 2)),
+                             st.lists(st.sampled_from((0, 1, 2)),
+                                      max_size=19))
+_ENTRY_PATHS = st.lists(st.text(alphabet="01", min_size=1, max_size=40),
+                        min_size=1, max_size=2).map(tuple)
+
+
+class TestEntry:
+    """An entry holds its codeword as bytes and its paths as one string,
+    and answers as the (codeword, paths) pair it was given."""
+
+    @settings(max_examples=300)
+    @given(_ENTRY_CODEWORDS, _ENTRY_PATHS, st.data())
+    def test_entry_answers_as_its_codeword_and_paths(self, codeword, paths,
+                                                     data):
+        e = CertificateEntry(codeword, paths)
+        assert e.word == bytes(codeword)
+        assert e.codeword == codeword and e.paths == paths
+        assert e.level == len(codeword) - 1
+        assert e.display == codeword_display(codeword)
+        assert parse_entry(e.to_line()) == e
+        assert CertificateEntry(e.word, list(paths)) == e
+        other_codeword, other_paths = data.draw(st.one_of(
+            st.just((codeword, paths)),
+            st.tuples(st.just(codeword), _ENTRY_PATHS),
+            st.tuples(_ENTRY_CODEWORDS, st.just(paths)),
+            st.tuples(_ENTRY_CODEWORDS, _ENTRY_PATHS)))
+        other = CertificateEntry(other_codeword, other_paths)
+        same = (codeword, paths) == (other_codeword, other_paths)
+        assert (e == other) == same and (e != other) != same
+        if same:
+            assert hash(e) == hash(other)
+        with pytest.raises(AttributeError):
+            e.word = other.word
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(_ENTRY_CODEWORDS, _ENTRY_PATHS), max_size=12))
+    def test_word_order_is_codeword_order(self, pairs):
+        entries = [CertificateEntry(c, p) for c, p in pairs]
+        by_word = sorted(entries, key=lambda e: e.word)
+        assert [e.codeword for e in by_word] == sorted(c for c, _ in pairs)
+        cert = Certificate(Fraction(1, 3), "plain", entries)
+        assert cert.sorted_canonically().entries == by_word
+
+    @pytest.mark.parametrize("codeword", [(1, True), (2, 0.0), (True, 2),
+                                          (1.0,)])
+    def test_bool_or_float_digit_is_refused(self, reference_plain, codeword):
+        # bytes() would take True as the digit 1 and refuse 0.0 with a
+        # TypeError; such a codeword is refused as replay refuses it
+        with pytest.raises(ValueError, match="digits must be 0, 1 or 2"):
+            verify(replace(reference_plain, entries=[
+                *reference_plain.entries, CertificateEntry(codeword, ("1",))]))
 
 
 @pytest.mark.parametrize("call", [
