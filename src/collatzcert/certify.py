@@ -9,6 +9,11 @@ search.  Its per-entry work is the replay itself: an entry's display is
 rendered only to label a violation, and the Kraft sum is counted in
 integers, with a Fraction built only to word a failure.  That count,
 ``kraft_mismatch``, is the search's own Kraft check as well.
+
+An entry holds two slots: its codeword's digits as bytes, low digit first,
+and its paths joined by one space, about 170 B an entry at plain level 17
+counted by object walk.  Bytes order is canonical order, so certificates
+are sorted and checked on the words, and the paths are read once an entry.
 """
 
 from __future__ import annotations
@@ -105,7 +110,9 @@ class Certificate:
         return max(e.level for e in self.entries)
 
     def max_depth(self) -> int:
-        return max(len(p) for e in self.entries for p in e.paths)
+        # no path reads as one empty path, of depth 0
+        return max(len(p) for e in self.entries
+                   for p in (e.path_text or "").split(" "))
 
     def min_ratio(self) -> Fraction:
         """The least ones-ratio of any path: ratios are compared by

@@ -203,12 +203,18 @@ class TestEntry:
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(_ENTRY_CODEWORDS, _ENTRY_PATHS), max_size=12))
-    def test_word_order_is_codeword_order(self, pairs):
+    def test_certificate_reads_the_stored_forms(self, pairs):
+        # word order is codeword order, and the path text gives the paths
         entries = [CertificateEntry(c, p) for c, p in pairs]
         by_word = sorted(entries, key=lambda e: e.word)
         assert [e.codeword for e in by_word] == sorted(c for c, _ in pairs)
         cert = Certificate(Fraction(1, 3), "plain", entries)
         assert cert.sorted_canonically().entries == by_word
+        every = [p for _, paths in pairs for p in paths]
+        if every:
+            assert cert.max_depth() == max(map(len, every))
+            assert cert.min_ratio() == min(Fraction(p.count("1"), len(p))
+                                           for p in every)
 
     @pytest.mark.parametrize("codeword", [(1, True), (2, 0.0), (True, 2),
                                           (1.0,)])
