@@ -10,10 +10,11 @@ rendered only to label a violation, and the Kraft sum is counted in
 integers, with a Fraction built only to word a failure.  That count,
 ``kraft_mismatch``, is the search's own Kraft check as well.
 
-An entry holds two slots: its codeword's digits as bytes, low digit first,
-and its paths joined by one space, about 170 B an entry at plain level 17
-counted by object walk.  Bytes order is canonical order, so certificates
-are sorted and checked on the words, and the paths are read once an entry.
+An entry holds two slots: its codeword, the bytes ``check_codeword``
+makes, low digit first, and its paths joined by one space, about 170 B an
+entry at plain level 17 counted by object walk.  Bytes order is canonical
+order, so certificates are sorted and checked on the words, and the paths
+are read once an entry.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .numth import (
     POW3,
     check_codeword,
     codeword_display,
+    codeword_from_display,
+    codeword_of_int,
     codeword_value,
     t_map,
     trajectory,
     word_display,
-    word_from_display,
 )
 PLAIN = "plain"
 STRONG = "strong"
@@ -45,14 +47,14 @@ SWEEP_FLOOR = Fraction(1, 7)
 class CertificateEntry:
     """One closed codeword with its path or path pair, held in two slots.
 
-    ``word`` is the codeword's digits as bytes, low digit first, as
-    ``bytes(codeword)`` gives them, so bytes order is canonical order.
-    ``path_text`` is its paths joined by one space, so a plain entry's one
-    path is that str itself, or None for an entry with no path.  A
-    codeword given as bytes is taken as it is, as ``parse_entry`` and the
-    search make it; any other is checked by ``check_codeword`` first.  A
-    path may not hold a space.  ``codeword``, ``paths``, ``level``,
-    ``display`` and ``to_line`` are derived from the two slots.
+    ``word`` is the codeword, bytes low digit first as ``check_codeword``
+    makes it, so bytes order is canonical order.  ``path_text`` is its
+    paths joined by one space, so a plain entry's one path is that str
+    itself, or None for an entry with no path.  A codeword given as bytes
+    is taken as it is, as ``parse_entry`` and the search make it; any
+    other is checked by ``check_codeword`` first.  A path may not hold a
+    space.  ``paths``, ``level``, ``display`` and ``to_line`` are derived
+    from the two slots.
     """
 
     word: bytes
@@ -60,16 +62,12 @@ class CertificateEntry:
 
     def __init__(self, codeword, paths):
         if type(codeword) is not bytes:
-            codeword = bytes(check_codeword(codeword))
+            codeword = check_codeword(codeword)
         text = " ".join(paths) if paths else None
         if text is not None and text.count(" ") != len(paths) - 1:
             raise ValueError(f"a path holds a space: {tuple(paths)}")
         object.__setattr__(self, "word", codeword)
         object.__setattr__(self, "path_text", text)
-
-    @property
-    def codeword(self) -> tuple[int, ...]:
-        return tuple(self.word)
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -144,7 +142,7 @@ class Unclosed:
     alpha: Fraction
     mode: str
     max_weight: int
-    open_codewords: list[tuple[int, ...]]
+    open_codewords: list[bytes]
 
 
 SearchOutcome = Certificate | Unclosed
@@ -179,7 +177,7 @@ def replay_path(codeword, path: str) -> Violation | None:
     of modulus knowledge.  Returns None if the whole path replays.
     """
     c = check_codeword(codeword)
-    if c == (0,):
+    if c == b"\0":
         return Violation(None, None, None, "reserved codeword (0) carries no paths")
     value = codeword_value(c)
     m = len(c)
@@ -188,15 +186,15 @@ def replay_path(codeword, path: str) -> Violation | None:
             value = (2 * value) % POW3[m]
             continue
         if ch != "1":
-            return Violation(codeword_display(c), None, i, f"bad edge label {ch!r}")
+            return Violation(word_display(c), None, i, f"bad edge label {ch!r}")
         if m < 2:
             return Violation(
-                codeword_display(c), None, i,
+                word_display(c), None, i,
                 "1-edge after weight reached the level (class mod 9 undetermined)",
             )
         if value % 9 not in BRANCHING_MOD9:
             return Violation(
-                codeword_display(c), None, i,
+                word_display(c), None, i,
                 f"1-edge at residue {value % 9} mod 9, not in {{2, 8}}",
             )
         value = ((2 * value - 1) // 3) % POW3[m - 1]
@@ -260,8 +258,9 @@ def kraft_mismatch(codewords) -> Fraction | None:
 def code_violations(codewords: list) -> list[Violation]:
     """Whole-code checks: no codeword listed twice or a prefix of another,
     and a Kraft sum of exactly 1 together with the reserved word (0).  The
-    codewords are tuples or, as ``verify`` passes them, entries' words:
-    they are only hashed, sliced and measured."""
+    codewords are bytes, as ``verify`` passes entries' words: they are
+    only hashed, sorted, sliced and measured, and displayed to label a
+    violation."""
     out: list[Violation] = []
     seen: set = set()
     for c in codewords:
@@ -384,7 +383,7 @@ def parse_entry(line: str) -> CertificateEntry:
     parts = line.split()
     if len(parts) not in (4, 6):
         raise ValueError(f"entry needs 4 or 6 fields, got {len(parts)}")
-    word = word_from_display(parts[0])
+    word = codeword_from_display(parts[0])
     if not _is_number(parts[1]) or int(parts[1]) != len(word) - 1:
         raise ValueError(
             f"level {parts[1]} does not match codeword length {len(word)}")
@@ -523,13 +522,11 @@ class WitnessRecord:
 
 def _match_entry(entries: dict, n: int) -> CertificateEntry:
     """The entry whose codeword is a run of n's low ternary digits."""
-    digits: tuple[int, ...] = ()
-    v = n
-    while len(digits) < MAX_CODEWORD_LEN:
-        v, digit = divmod(v, 3)
-        digits += (digit,)
-        if digits in entries:
-            return entries[digits]
+    word = codeword_of_int(n, MAX_CODEWORD_LEN)
+    for length in range(1, MAX_CODEWORD_LEN + 1):
+        entry = entries.get(word[:length])
+        if entry is not None:
+            return entry
     raise ValueError(f"no codeword matches {n} (certificate not exhaustive?)")
 
 
@@ -600,7 +597,7 @@ def witnesses(
         suffix_k = len(parity)
         suffix_ones = parity.count("1")
 
-    entries = {e.codeword: e for e in cert.entries}
+    entries = {e.word: e for e in cert.entries}
     out: list[WitnessRecord] = []
     # queue of (integer, cumulative steps to start, cumulative ones)
     queue: deque[tuple[int, int, int]] = deque([(start, 0, 0)])

@@ -30,9 +30,9 @@ from .certify import (
 )
 from .numth import (
     DEFAULT_TRAJECTORY_CAP,
-    codeword_display,
     codeword_from_display,
     trajectory,
+    word_display,
 )
 from .tree import best_ratio, walk_nodes
 
@@ -168,7 +168,7 @@ def _cmd_search(args) -> int:
             cap = depth_cap(len(codeword) - 1, args.alpha)
             ratio = best_ratio(codeword, cap, want, prune)
             best = f"{ratio.numerator}/{ratio.denominator}" if ratio else "?"
-            print(f"open {codeword_display(codeword)} best-ratio {best}")
+            print(f"open {word_display(codeword)} best-ratio {best}")
         return EXIT_UNCLOSED
     if _refuted(outcome):
         return EXIT_INVALID

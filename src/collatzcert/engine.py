@@ -3,12 +3,14 @@
 One in-process loop runs the search depth first, in canonical codeword
 order: it keeps the open codewords as a stack with the least on top, and
 closes, leaves stuck or splits each one in turn, each within its own
-level's depth cap.  A split codeword's three children go on top, so a
+level's depth cap.  A codeword is bytes, low digit first, here as
+everywhere in the package, so a split appends one digit byte and a
+parent is a slice.  A split codeword's three children go on top, so a
 codeword and everything below it are decided before its next sibling,
 and the closed entries come in canonical order.  The trees of a group of
 siblings are grown in one lookup of their parent's tree (three table
 reads up to level 9, one walk above it), and the memo holds the one
-int that lookup returns, under the bytes of the parent.  One read,
+int that lookup returns, under the parent.  One read,
 ``_keys``, gives a codeword's leaf keys within its level's cap from its
 parent's int, growing the group if the int is missing: the close
 decision reads the codeword's own keys through it and renders the ones
@@ -54,13 +56,11 @@ from .certify import (
     parse_entry,
     parse_records,
 )
-from .numth import MAX_CODEWORD_LEN, codeword_display, codeword_from_display
+from .numth import MAX_CODEWORD_LEN, codeword_from_display, word_display
 from .tree import grow_children, key_path, unpack_keys
 from .tree import grow_record  # noqa: F401  (bench/tracer.py wraps it by this name)
 
-INITIAL_CODEWORDS = tuple(
-    (i, j) for i in (1, 2) for j in (0, 1, 2)
-)
+INITIAL_CODEWORDS = tuple(bytes((i, j)) for i in (1, 2) for j in (0, 1, 2))
 
 
 @dataclass
@@ -70,9 +70,9 @@ class CheckpointState:
 
     alpha: Fraction
     mode: str
-    open_codewords: list[tuple[int, ...]]
+    open_codewords: list[bytes]
     closed: list[CertificateEntry]
-    stuck: list[tuple[int, ...]] = field(default_factory=list)
+    stuck: list[bytes] = field(default_factory=list)
 
     def counters(self) -> dict[int, dict[str, int]]:
         """Per-level opened/closed/stuck/split counts, derived from the records.
@@ -113,16 +113,16 @@ class _DecisionLog:
 
     def __init__(self):
         self.todo = list(INITIAL_CODEWORDS[::-1])   # the least on top
-        self.opened: list[tuple[int, ...]] = []    # set aside, ascending
+        self.opened: list[bytes] = []    # set aside, ascending
         self.closed: list[CertificateEntry] = []
-        self.stuck: list[tuple[int, ...]] = []
+        self.stuck: list[bytes] = []
 
     def __call__(self, line: str) -> None:
         kind, _, rest = line.partition(" ")
         rest = rest.strip()
         if kind == "closed":
             entry = parse_entry(rest)
-            codeword = entry.codeword
+            codeword = entry.word
         elif kind in ("open", "stuck"):
             codeword = codeword_from_display(rest)
         else:
@@ -132,17 +132,17 @@ class _DecisionLog:
             todo.extend(reversed(self.opened))
             self.opened = []
         if not todo:
-            raise ValueError(f"{kind} codeword {codeword_display(codeword)} "
+            raise ValueError(f"{kind} codeword {word_display(codeword)} "
                              f"where no codeword is open")
         while True:
             least = todo.pop()
             if codeword[:len(least)] != least:
                 raise ValueError(
-                    f"{kind} codeword {codeword_display(codeword)} is not at "
-                    f"or below the least open codeword {codeword_display(least)}")
+                    f"{kind} codeword {word_display(codeword)} is not at "
+                    f"or below the least open codeword {word_display(least)}")
             if codeword == least:
                 break
-            todo.extend(least + (d,) for d in (2, 1, 0))
+            todo.extend((least + b"\2", least + b"\1", least + b"\0"))
         if kind == "closed":
             self.closed.append(entry)
         elif kind == "stuck":
@@ -190,14 +190,12 @@ def save_checkpoint(record: CheckpointState | list, path) -> None:
         with open(path, "a", encoding="utf-8") as fh:
             fh.writelines(
                 f"closed {d.to_line()}\n" if isinstance(d, CertificateEntry)
-                else f"stuck {codeword_display(d)}\n" for d in record)
+                else f"stuck {word_display(d)}\n" for d in record)
         return
     alpha = record.alpha
     records = [(e.word, f"closed {e.to_line()}") for e in record.closed]
-    records.extend((bytes(c), f"stuck {codeword_display(c)}")
-                   for c in record.stuck)
-    records.extend((bytes(c), f"open {codeword_display(c)}")
-                   for c in record.open_codewords)
+    records.extend((c, f"stuck {word_display(c)}") for c in record.stuck)
+    records.extend((c, f"open {word_display(c)}") for c in record.open_codewords)
     records.sort(key=itemgetter(0))
     lines = [f"checkpoint v4 mode={record.mode} "
              f"alpha={alpha.numerator}/{alpha.denominator}",
@@ -234,11 +232,11 @@ def _keys(memo: dict, caps: list[int], name: bytes, digit: int) -> list[int]:
     cap = caps[len(name)]
     packed = memo.get(name)
     if packed is None:
-        packed = memo[name] = grow_children(tuple(name), cap)
+        packed = memo[name] = grow_children(name, cap)
     return unpack_keys(packed, digit, cap)
 
 
-def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
+def _close_decision(codeword: bytes, memo: dict, caps: list[int],
                     mode: str) -> tuple[str, ...] | None:
     """Paths that close this codeword at this ratio, or None to split.
 
@@ -249,7 +247,7 @@ def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
     prefix of it, which ``find_companion`` reads from the records of the
     codeword's prefixes.
     """
-    wits = _keys(memo, caps, bytes(codeword)[:-1], codeword[-1])
+    wits = _keys(memo, caps, codeword[:-1], codeword[-1])
     if mode == PLAIN:
         return (key_path(wits[0]),) if wits else None
     if len(wits) >= 2:
@@ -262,7 +260,7 @@ def _close_decision(codeword: tuple[int, ...], memo: dict, caps: list[int],
     return None
 
 
-def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
+def find_companion(codeword: bytes, memo: dict, caps: list[int],
                    witness_key: int) -> int | None:
     """Canonically least path of weight < l with ones-ratio >= alpha.
 
@@ -283,13 +281,12 @@ def find_companion(codeword: tuple[int, ...], memo: dict, caps: list[int],
     is the answer there; above 1/2, where pruning is not known to keep every
     candidate, the answer is the first qualifying node of the unpruned tree.
     """
-    name = bytes(codeword)
     wd = witness_key.bit_length() - 1
     unset = best = 1 << (caps[len(codeword) - 1] + 1)
     for w in range(1, len(codeword) - 1):
         cap = caps[w]
         limit = min(best, 1 << (cap + 1))   # keys of depth <= cap lie below
-        keys = _keys(memo, caps, name[:w], name[w])
+        keys = _keys(memo, caps, codeword[:w], codeword[w])
         first, second = [*keys, limit, limit][:2]
         d = first.bit_length() - 1
         if d < wd and witness_key >> (wd - d) == first:
@@ -331,7 +328,7 @@ def _carried(carry: Certificate, alpha: Fraction,
         # no path reads as one empty path, which is below no ratio
         for p in (e.path_text or "").split(" "):
             if p.count("1") * ad < an * len(p):
-                start.append(e.codeword)
+                start.append(e.word)
                 break
         else:
             closed.append(e)
@@ -400,7 +397,7 @@ def run(
     if not 1 <= max_weight <= MAX_CODEWORD_LEN:
         raise ValueError(f"max_weight must be within [1, {MAX_CODEWORD_LEN}]")
 
-    start: list[tuple[int, ...]] = list(INITIAL_CODEWORDS)
+    start: list[bytes] = list(INITIAL_CODEWORDS)
     closed: list[CertificateEntry] = []
     resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resumed:
@@ -415,11 +412,11 @@ def run(
         closed = state.closed
     elif carry is not None:
         start, closed = _carried(carry, alpha, mode)
-    top = max([*start, *(e.word for e in closed)], key=len, default=())
+    top = max([*start, *(e.word for e in closed)], key=len, default=b"")
     if len(top) - 1 > max_weight:
         source = f"checkpoint {checkpoint_path}: " if resumed else ""
         raise ValueError(f"{source}cannot carry codeword "
-                         f"{codeword_display(top)} of weight {len(top) - 1} "
+                         f"{word_display(top)} of weight {len(top) - 1} "
                          f"into a search to max_weight {max_weight}")
     log = None
     if checkpoint_path:
@@ -429,7 +426,7 @@ def run(
 
     memo = {} if cache is None else cache
     caps = [depth_cap(level, alpha) for level in range(MAX_CODEWORD_LEN + 1)]
-    stuck: list[tuple[int, ...]] = []
+    stuck: list[bytes] = []
     todo = start[::-1]
     while todo:
         c = todo.pop()
@@ -438,11 +435,11 @@ def run(
             log = []
         paths = _close_decision(c, memo, caps, mode)
         if paths is not None:
-            closed.append(CertificateEntry(bytes(c), paths))
+            closed.append(CertificateEntry(c, paths))
             if log is not None:
                 log.append(closed[-1])
         elif len(c) - 1 < max_weight:
-            todo.extend(c + (d,) for d in (2, 1, 0))
+            todo.extend((c + b"\2", c + b"\1", c + b"\0"))
         else:
             stuck.append(c)
             if log is not None:

@@ -2,7 +2,9 @@
 
 Forward iteration (trajectories and their statistics), the multivalued
 inverse map, and ternary codewords: validation, display and the residue
-class values they name.  Codeword text is made and read by byte
+class values they name.  A codeword is bytes, low digit first, so bytes
+order is canonical order, and ``check_codeword`` is the one place that
+makes one.  Codeword text is made and read by byte
 translation and checked by set and string operations, so a line of a
 certificate or checkpoint costs a few C-level calls, not a Python step per
 digit.
@@ -130,24 +132,31 @@ def inverse_t(n: int) -> set[int]:
     return pre
 
 
-def check_codeword(digits) -> tuple[int, ...]:
-    """Validate a ternary codeword and return it as a tuple.
+def check_codeword(digits) -> bytes:
+    """Validate a ternary codeword and return it as bytes, low digit first,
+    so that bytes order is canonical order: the one maker of a codeword.
 
     The low digit names the class mod 3 and must be 1 or 2; the single
-    reserved word (0,) that completes the prefix code is also accepted.
-    Digits must be ints: a bool or a float equal to a digit is refused.
+    reserved word (0) that completes the prefix code is also accepted.
+    Digits must be ints: a bool or a float equal to a digit is refused.  A
+    bytes word is checked as it is, by a few C-level calls.
     """
-    c = tuple(digits)
+    c = digits if type(digits) is bytes else tuple(digits)
     if not c:
         raise ValueError("empty codeword")
     if len(c) > MAX_CODEWORD_LEN:
         raise ValueError(f"codeword longer than {MAX_CODEWORD_LEN} digits")
-    # types first: they are always hashable, and they tell True from 1
-    if not (_INT_TYPE.issuperset(map(type, c)) and _DIGITS.issuperset(c)):
-        raise ValueError(f"codeword digits must be 0, 1 or 2: {c}")
-    if c[0] == 0 and c != (0,):
+    if type(c) is bytes:
+        bad = c.translate(None, b"\0\1\2")     # what is left once the digits go
+    else:
+        # types first: they are always hashable, and they tell True from 1
+        bad = not (_INT_TYPE.issuperset(map(type, c)) and _DIGITS.issuperset(c))
+    if bad:
+        raise ValueError(f"codeword digits must be 0, 1 or 2: {tuple(c)}")
+    word = bytes(c)
+    if word[0] == 0 and word != b"\0":
         raise ValueError("low digit 0 is reserved for the exhaustiveness word (0)")
-    return c
+    return word
 
 
 def codeword_value(c) -> int:
@@ -157,31 +166,22 @@ def codeword_value(c) -> int:
 
 def codeword_display(c) -> str:
     """Print digits most-significant-first, preserving leading zeros."""
-    return word_display(bytes(check_codeword(c)))
+    return word_display(check_codeword(c))
 
 
 def word_display(word: bytes) -> str:
-    """The display of a codeword held as bytes, low digit first, whose
-    digits are already checked."""
+    """The display of a codeword whose digits are already checked."""
     return word[::-1].translate(_DIGIT_TO_CHAR).decode("ascii")
 
 
-def word_from_display(s: str) -> bytes:
-    """Parse a most-significant-first digit string into a codeword's
-    bytes, low digit first, checked as ``check_codeword`` checks."""
+def codeword_from_display(s: str) -> bytes:
+    """Parse a most-significant-first digit string into a codeword."""
     if not s or s.strip("012"):
         raise ValueError(f"bad ternary display string {s!r}")
-    word = s[::-1].encode("ascii").translate(_CHAR_TO_DIGIT)
-    check_codeword(word)
-    return word
+    return check_codeword(s[::-1].encode("ascii").translate(_CHAR_TO_DIGIT))
 
 
-def codeword_from_display(s: str) -> tuple[int, ...]:
-    """Parse a most-significant-first digit string back into a codeword."""
-    return tuple(word_from_display(s))
-
-
-def codeword_of_int(n: int, length: int) -> tuple[int, ...]:
+def codeword_of_int(n: int, length: int) -> bytes:
     """The length-digit ternary expansion of n, low digit first."""
     if n < 0:
         raise ValueError("negative value has no codeword")
@@ -189,4 +189,4 @@ def codeword_of_int(n: int, length: int) -> tuple[int, ...]:
     for _ in range(length):
         n, d = divmod(n, 3)
         digits.append(d)
-    return tuple(digits)
+    return bytes(digits)

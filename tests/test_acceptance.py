@@ -186,7 +186,7 @@ def test_criterion_7_property_suites(plain_sweep, strong_sweep, tmp_path,
     certs = [cert for _, cert in plain_sweep.results.values()]
     certs += [cert for _, cert in strong_sweep.results.values()]
     for cert in certs:
-        assert kraft_mismatch(e.codeword for e in cert.entries) is None
+        assert kraft_mismatch(e.word for e in cert.entries) is None
 
     # modulus-weight conservation over at least a million growth steps
     steps = 0

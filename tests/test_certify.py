@@ -69,26 +69,26 @@ _TEXTS = st.one_of(
 
 class TestReplay:
     def test_legal_path(self):
-        assert replay_path((2, 1), "001") is None
+        assert replay_path(bytes((2, 1)), "001") is None
 
     def test_one_edge_needs_branching_class(self):
         # the root class 1 mod 9 has no odd preimage, so the first edge fails
-        v = replay_path((1, 0), "11")
+        v = replay_path(bytes((1, 0)), "11")
         assert v is not None
         assert v.position == 0
         assert "mod 9" in v.reason
 
     def test_long_reference_path(self):
-        assert replay_path((1, 2, 2, 2, 0), "000100000111") is None
+        assert replay_path(bytes((1, 2, 2, 2, 0)), "000100000111") is None
 
     def test_one_edge_after_weight_exhausted(self):
         # 0-edges stay legal past the last knowable modulus, 1-edges do not
-        assert replay_path((2, 0), "10") is None
-        v = replay_path((2, 0), "11")
+        assert replay_path(bytes((2, 0)), "10") is None
+        v = replay_path(bytes((2, 0)), "11")
         assert v is not None and v.position == 1
 
     def test_reserved_word(self):
-        v = replay_path((0,), "0")
+        v = replay_path(bytes((0,)), "0")
         assert v is not None
 
 
@@ -102,7 +102,7 @@ class TestVerify:
     def test_path_mutation_is_rejected(self, reference_plain):
         entries = list(reference_plain.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "12")
-        entries[idx] = CertificateEntry(entries[idx].codeword, ("011",))
+        entries[idx] = CertificateEntry(entries[idx].word, ("011",))
         bad = replace(reference_plain, entries=entries)
         out = verify(bad)
         assert out
@@ -119,14 +119,14 @@ class TestVerify:
         assert any("duplicate" in v.reason for v in out)
 
     def test_prefix_codewords_are_rejected(self, reference_plain):
-        extra = CertificateEntry(codeword=(1, 0, 0), paths=("0101",))
+        extra = CertificateEntry(codeword=bytes((1, 0, 0)), paths=("0101",))
         out = verify(replace(reference_plain, entries=reference_plain.entries + [extra]))
         assert any("prefix of" in v.reason for v in out)
 
     def test_underweight_path_needs_ratio(self, reference_plain):
         entries = list(reference_plain.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "02")
-        entries[idx] = CertificateEntry(entries[idx].codeword, ("0",))
+        entries[idx] = CertificateEntry(entries[idx].word, ("0",))
         out = verify(replace(reference_plain, entries=entries))
         assert any("ones-ratio" in v.reason for v in out)
 
@@ -136,19 +136,19 @@ class TestVerify:
         cert = parse_certificate(reference_plain_text())
         entries = list(cert.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "01")
-        entries[idx] = CertificateEntry(entries[idx].codeword, ("010",))
+        entries[idx] = CertificateEntry(entries[idx].word, ("010",))
         out = verify(replace(cert, entries=entries))
         assert any("end with a 1-edge" in v.reason for v in out)
 
     def test_strong_prefix_pair_is_rejected(self, reference_strong):
         entries = list(reference_strong.entries)
         idx = next(i for i, e in enumerate(entries) if e.display == "02")
-        entries[idx] = CertificateEntry(entries[idx].codeword, ("1", "100"))
+        entries[idx] = CertificateEntry(entries[idx].word, ("1", "100"))
         out = verify(replace(reference_strong, entries=entries))
         assert any("prefix-related" in v.reason for v in out)
 
     def test_strong_with_second_paths_dropped_passes_plain(self, reference_strong):
-        entries = [CertificateEntry(e.codeword, e.paths[:1])
+        entries = [CertificateEntry(e.word, e.paths[:1])
                    for e in reference_strong.entries]
         plain = Certificate(alpha=reference_strong.alpha, mode="plain",
                             entries=entries)
@@ -158,7 +158,7 @@ class TestVerify:
         # a path heavier than its level never replays: replay refuses the
         # 1-edge after the weight has reached the level, so the verifier
         # needs no weight check of its own
-        entry = CertificateEntry(codeword=(2, 2), paths=("11",))
+        entry = CertificateEntry(codeword=bytes((2, 2)), paths=("11",))
         assert [str(v) for v in entry_violations(entry, Fraction(1, 3),
                                                  "plain")] == [
             "entry 22, path 1, position 1: 1-edge after weight reached the "
@@ -182,8 +182,8 @@ class TestEntry:
     def test_entry_answers_as_its_codeword_and_paths(self, codeword, paths,
                                                      data):
         e = CertificateEntry(codeword, paths)
-        assert e.word == bytes(codeword)
-        assert e.codeword == codeword and e.paths == paths
+        assert type(e.word) is bytes and e.word == bytes(codeword)
+        assert e.paths == paths
         assert e.level == len(codeword) - 1
         assert e.display == codeword_display(codeword)
         assert parse_entry(e.to_line()) == e
@@ -207,7 +207,7 @@ class TestEntry:
         # word order is codeword order, and the path text gives the paths
         entries = [CertificateEntry(c, p) for c, p in pairs]
         by_word = sorted(entries, key=lambda e: e.word)
-        assert [e.codeword for e in by_word] == sorted(c for c, _ in pairs)
+        assert [e.word for e in by_word] == sorted(bytes(c) for c, _ in pairs)
         cert = Certificate(Fraction(1, 3), "plain", entries)
         assert cert.sorted_canonically().entries == by_word
         every = [p for _, paths in pairs for p in paths]
@@ -303,7 +303,7 @@ class TestFileFormat:
                 continue
             if parse is parse_checkpoint:
                 codewords = [*parsed.open_codewords, *parsed.stuck,
-                             *(e.codeword for e in parsed.closed)]
+                             *(e.word for e in parsed.closed)]
                 assert code_violations(codewords) == []
                 assert all(len(c) >= 2 for c in codewords)
 
@@ -324,8 +324,8 @@ class TestSearch:
     def test_strong_third_matches_reference_codewords(self, reference_strong):
         out = search(Fraction(1, 3), 5, "strong")
         assert (out.size, out.max_weight(), out.max_depth()) == (36, 5, 15)
-        assert [e.codeword for e in out.entries] == [
-            e.codeword for e in reference_strong.entries
+        assert [e.word for e in out.entries] == [
+            e.word for e in reference_strong.entries
         ]
 
     def test_search_results_always_verify(self):
@@ -338,12 +338,12 @@ class TestSearch:
             out = search(alpha, weight, mode)
             assert isinstance(out, Certificate)
             assert verify(out) == []
-            assert kraft_mismatch(e.codeword for e in out.entries) is None
+            assert kraft_mismatch(e.word for e in out.entries) is None
 
     def test_unclosed_below_needed_weight(self):
         out = search(Fraction(1, 3), 3, "plain")
         assert isinstance(out, Unclosed)
-        assert out.open_codewords == [(1, 2, 2, 2)]
+        assert out.open_codewords == [bytes((1, 2, 2, 2))]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -472,7 +472,7 @@ class TestSweep:
         _, cert = sweep.level(5)
         for e in cert.entries:
             k = len(e.paths[0])
-            full = [n.depth for n in walk_nodes(e.codeword, k, None, prune=False)
+            full = [n.depth for n in walk_nodes(e.word, k, None, prune=False)
                     if n.weight == e.level]
             assert full and min(full) == k
 

@@ -38,8 +38,8 @@ class TestUnclosed:
     def test_report_lists_the_stuck_codeword(self):
         out = run(Fraction(1, 3), 3, "plain")
         assert isinstance(out, Unclosed)
-        assert out.open_codewords == [(1, 2, 2, 2)]
-        assert best_ratio((1, 2, 2, 2), 9) == Fraction(2, 7)
+        assert out.open_codewords == [bytes((1, 2, 2, 2))]
+        assert best_ratio(bytes((1, 2, 2, 2)), 9) == Fraction(2, 7)
 
     @pytest.mark.parametrize("alpha,weight,mode,count,digest", [
         (Fraction(5, 14), 4, "plain", 3,
@@ -150,7 +150,7 @@ class TestCheckpoints:
                 save_checkpoint(load_checkpoint(fresh), fresh)
                 assert fresh.read_text() == text
         # the last state is a finished search that left 2221 stuck
-        assert (state.open_codewords, state.stuck) == ([], [(1, 2, 2, 2)])
+        assert (state.open_codewords, state.stuck) == ([], [bytes((1, 2, 2, 2))])
 
     def test_mismatched_resume_is_refused(self, tmp_path, run_interrupted):
         cp = tmp_path / "state"
@@ -234,7 +234,7 @@ class TestCheckpoints:
         # closed entry of weight 4 or less resumes at 5, not at 4
         straight = run(Fraction(5, 14), 6, "plain")
         closed = [e for e in straight.entries if e.level <= 4]
-        deep = [e.codeword for e in straight.entries if e.level > 4]
+        deep = [e.word for e in straight.entries if e.level > 4]
         cp = tmp_path / "state"
         save_checkpoint(engine.CheckpointState(
             Fraction(5, 14), "plain", deep, closed), cp)
@@ -272,10 +272,10 @@ class TestCheckpoints:
             for w in ("001", "101", "201", "11", "21", "02", "12", "22")))
         resumed = run(Fraction(1, 3), 4, "plain", checkpoint_path=str(cp))
         assert verify(resumed) == []
-        expected = {e.codeword: e for e in reference_plain.entries
-                    if e.codeword != (1, 0)}
-        assert {e.codeword: e for e in resumed.entries
-                if e.codeword[:2] != (1, 0)} == expected
+        expected = {e.word: e for e in reference_plain.entries
+                    if e.word != bytes((1, 0))}
+        assert {e.word: e for e in resumed.entries
+                if e.word[:2] != bytes((1, 0))} == expected
 
     def test_counters_derive_from_records(self, tmp_path):
         cp = tmp_path / "state"
@@ -312,7 +312,7 @@ class TestSiblingGrowth:
         assert isinstance(run(Fraction(5, 14), 6, "plain"), Certificate)
         # depth first, a group is grown when its first child is decided
         assert grown == list(dict.fromkeys(c[:-1] for c in decided))
-        assert grown[0] == (1,) and (2,) in grown
+        assert grown[0] == bytes((1,)) and bytes((2,)) in grown
         assert len(decided) == 3 * len(grown)
 
     def test_run_killed_mid_pass_resumes_byte_identical(self, tmp_path,
@@ -413,7 +413,7 @@ class TestGrowthCache:
         for name, packed in cache.items():
             assert type(name) is bytes and type(packed) is int
             assert children_keys(packed) == children_keys(
-                grow_children(tuple(name), packed_cap(packed)))
+                grow_children(name, packed_cap(packed)))
         # a run at a lower ratio asks the roots' records, grown at 5/14 for
         # level 1's cap of 2, for its cap of 3
         cache = {}
@@ -499,7 +499,7 @@ class TestDepthFirst:
             run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp),
                 stop_at_stuck=True)
             state = load_checkpoint(cp)
-            assert state.stuck == [(1, 2, 0, 1, 2)] and state.open_codewords
+            assert state.stuck == [bytes((1, 2, 0, 1, 2))] and state.open_codewords
             resumed = run(Fraction(5, 14), 4, "plain", checkpoint_path=str(cp),
                           stop_at_stuck=stop)
             assert resumed == straight
@@ -543,8 +543,8 @@ class TestDepthFirst:
         monkeypatch.setattr(engine, "find_companion", companion)
         out = run(alpha, weight, mode, checkpoint_path=cp, stop_at_stuck=True)
         assert out == straight
-        assert [e.codeword for e in out.entries] == sorted(
-            e.codeword for e in out.entries)
+        assert [e.word for e in out.entries] == sorted(
+            e.word for e in out.entries)
         assert decided == sorted(decided)
         assert max(Counter(grown).values()) == 1
         parents = {c[:-1] for c in decided}
@@ -599,7 +599,7 @@ class TestCarry:
         alpha = Fraction(1, 3)
         roots = run(alpha, 5, "strong")
         assert isinstance(roots, Certificate)
-        low = {e.codeword for e in carry.entries
+        low = {e.word for e in carry.entries
                if any(Fraction(p.count("1"), len(p)) < alpha
                       for p in e.paths)}
         assert 0 < len(low) < carry.size
@@ -635,8 +635,8 @@ class TestCarry:
         kept = [e for e in carry.entries if e.paths[0].count("1") * 14
                 >= 5 * len(e.paths[0])]
         assert state.closed == kept and state.stuck == []
-        assert sorted([*state.open_codewords, *(e.codeword for e in kept)]
-                      ) == [e.codeword for e in carry.entries]
+        assert sorted([*state.open_codewords, *(e.word for e in kept)]
+                      ) == [e.word for e in carry.entries]
         resumed = run(Fraction(5, 14), 5, "plain", checkpoint_path=str(cp))
         assert resumed == straight
 
@@ -660,7 +660,7 @@ class TestCarry:
 
 _CODEWORD = st.tuples(st.sampled_from((1, 2)),
                       st.lists(st.sampled_from((0, 1, 2)), min_size=1,
-                               max_size=7)).map(lambda t: (t[0], *t[1]))
+                               max_size=7)).map(lambda t: bytes((t[0], *t[1])))
 _RATIO = st.builds(lambda b, a: Fraction(a % (b - 1) + 1, b),
                    st.integers(2, 16), st.integers(0, 15))
 _RATIOS = st.lists(_RATIO, min_size=2, max_size=2, unique=True).map(sorted)
@@ -674,9 +674,9 @@ def _decision(c, alpha, mode):
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(_CODEWORD, _RATIOS, st.sampled_from(("plain", "strong")))
 # strong above 1/2: a pair of leaves, and a leaf with its companion, kept
-@example((2, 0, 2, 0), [Fraction(1, 3), Fraction(4, 7)], "strong")
-@example((2, 0, 2, 1), [Fraction(5, 9), Fraction(3, 5)], "strong")
-@example((2, 2, 1), [Fraction(1, 3), Fraction(3, 5)], "strong")
+@example(bytes((2, 0, 2, 0)), [Fraction(1, 3), Fraction(4, 7)], "strong")
+@example(bytes((2, 0, 2, 1)), [Fraction(5, 9), Fraction(3, 5)], "strong")
+@example(bytes((2, 2, 1)), [Fraction(1, 3), Fraction(3, 5)], "strong")
 def test_decisions_are_monotone_in_alpha(c, ratios, mode):
     # with t < u: a codeword that closes at u closes at t, and one that
     # closes at t with paths all of ratio u or more closes with the same
@@ -720,7 +720,7 @@ class TestInvariants:
                               (Fraction(1, 3), 4)]:
             out = run(alpha, weight, "plain")
             assert isinstance(out, Certificate)
-            assert kraft_mismatch(e.codeword for e in out.entries) is None
+            assert kraft_mismatch(e.word for e in out.entries) is None
 
     @pytest.mark.parametrize("keep,total", [(slice(1, None), "8/9"),
                                             (slice(0), "1/3")])
@@ -744,7 +744,7 @@ class TestInvariants:
         _, segments = _segments(tmp_path, Fraction(5, 14), 6, "plain")
         for k in range(2, len(segments)):
             state = parse_checkpoint("".join(segments[:k]))
-            last = state.closed[-1].codeword
+            last = state.closed[-1].word
             assert state.open_codewords
             for c in state.open_codewords:
                 if c not in engine.INITIAL_CODEWORDS:

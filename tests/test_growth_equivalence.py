@@ -146,7 +146,7 @@ def _compare_children(parents, caps_of):
     cases = 0
     for parent in parents:
         for cap in caps_of(parent):
-            children = [parent + (d,) for d in range(3)]
+            children = [parent + bytes((d,)) for d in range(3)]
             leaves = [_walk_leaves(child, cap) for child in children]
             packed = grow_children(parent, cap)
             assert packed_cap(packed) == cap
@@ -157,7 +157,7 @@ def _compare_children(parents, caps_of):
 
 def test_children_of_every_short_parent():
     def caps_of(parent):
-        return sorted({_cap(parent + (0,), alpha)
+        return sorted({_cap(parent + bytes((0,)), alpha)
                        for alpha in PRUNED_ALPHAS + [UNPRUNED_ALPHA]})
 
     assert _compare_children(_small_codewords(1), caps_of) >= 10_000
@@ -196,7 +196,7 @@ def test_packed_records_round_trip():
     for parent, own in parents:
         packed = grow_children(parent, own)
         assert packed_cap(packed) == own
-        walks = [_walk_leaves(parent + (d,), own) for d in range(3)]
+        walks = [_walk_leaves(parent + bytes((d,)), own) for d in range(3)]
         assert _children_keys(packed) == walks, parent
         for cap in range(own + 1):
             limit = 1 << (cap + 1)
@@ -269,8 +269,8 @@ def test_leaves_two_steps_apart_on_one_chain():
     # the first leaf of the parent (2, 2, 1) is 11; in the tree of the child
     # ending in 1 its 0-edge chain meets the 1-edges after one zero and after
     # three, so both of the child's first leaves come from it
-    keys = _children_keys(grow_children((2, 2, 1), 6))[1]
-    assert keys == grow_record((2, 2, 1, 1), 6)
+    keys = _children_keys(grow_children(bytes((2, 2, 1)), 6))[1]
+    assert keys == grow_record(bytes((2, 2, 1, 1)), 6)
     assert keys == [29, 113]
     assert [key_path(k) for k in keys] == ["1101", "110001"]
 

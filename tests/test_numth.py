@@ -95,12 +95,12 @@ class TestInverse:
 
 class TestCodewords:
     def test_residue_and_display(self):
-        assert codeword_value((1, 2)) == 7
-        assert codeword_display((1, 2)) == "21"
-        assert codeword_value((2, 1)) == 5
-        assert codeword_display((2, 1)) == "12"
-        assert codeword_value((1, 2, 2, 2, 0)) == 79
-        assert codeword_display((1, 2, 2, 2, 0)) == "02221"
+        assert codeword_value(bytes((1, 2))) == 7
+        assert codeword_display(bytes((1, 2))) == "21"
+        assert codeword_value(bytes((2, 1))) == 5
+        assert codeword_display(bytes((2, 1))) == "12"
+        assert codeword_value(bytes((1, 2, 2, 2, 0))) == 79
+        assert codeword_display(bytes((1, 2, 2, 2, 0))) == "02221"
 
     def test_display_round_trip(self):
         for disp in ("12", "01", "02221", "102221"):
@@ -122,7 +122,7 @@ class TestCodewords:
             check_codeword(())
 
     def test_reserved_word_allowed(self):
-        assert check_codeword((0,)) == (0,)
+        assert check_codeword((0,)) == bytes((0,))
 
     def test_length_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """The certificate-text primitives against their earlier per-digit
 implementations, kept here as the reference: codeword validation, value,
 display and parsing, the Kraft check and the labels of entry violations
-must give the same results and the same error messages."""
+must give the same results and the same error messages.  The reference
+holds a codeword as a tuple of digits, and the package as the bytes of
+those digits."""
 
 from fractions import Fraction
 
@@ -81,18 +83,19 @@ def old_code_violations(codewords):
 
 
 def old_entry_violations(entry, alpha, mode):
+    codeword = tuple(entry.word)
     out = []
-    disp = old_codeword_display(entry.codeword)
+    disp = old_codeword_display(codeword)
     want_paths = 2 if mode == STRONG else 1
     if len(entry.paths) != want_paths:
         out.append(Violation(disp, None, None,
                              f"{mode} entry carries {len(entry.paths)} paths, needs {want_paths}"))
-    level = len(entry.codeword) - 1
+    level = len(codeword) - 1
     for i, p in enumerate(entry.paths):
         if not p:
             out.append(Violation(disp, i, None, "empty path"))
             continue
-        v = replay_path(entry.codeword, p)
+        v = replay_path(codeword, p)
         if v is not None:
             out.append(Violation(disp, i, v.position, v.reason))
             continue
@@ -121,6 +124,19 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def old_word(c):
+    """The reference's codeword as the bytes the package holds."""
+    return bytes(old_check_codeword(c))
+
+
+def forms(c):
+    """A codeword as a tuple and, when its digits fit in bytes, as bytes."""
+    c = tuple(c)
+    if all(type(d) is int and 0 <= d < 256 for d in c):
+        return [c, bytes(c)]
+    return [c]
+
+
 # -- strategies ----------------------------------------------------------
 
 # digits that are ints, or that no version accepts: anything equal to a
@@ -132,6 +148,7 @@ loose_digits = st.one_of(
 loose_tuples = st.one_of(
     st.lists(loose_digits, max_size=6).map(tuple),
     st.lists(st.integers(0, 2), max_size=MAX_CODEWORD_LEN + 3).map(tuple),
+    st.binary(max_size=6).map(tuple),
 )
 codewords = st.builds(
     lambda low, rest: (low, *rest),
@@ -181,9 +198,16 @@ def damaged_codes(draw):
 @example((1,) * (MAX_CODEWORD_LEN + 1))
 @example((1, 7) * MAX_CODEWORD_LEN)
 @example((1, [2]))
+@example(b"")
+@example(b"\x03")
+@example(b"\x00\x01")
+@example(b"\x01" * (MAX_CODEWORD_LEN + 1))
 def test_check_and_display_match_the_reference(c):
-    assert outcome(check_codeword, c) == outcome(old_check_codeword, c)
-    assert outcome(codeword_display, c) == outcome(old_codeword_display, c)
+    reference = tuple(c)
+    for form in forms(c):
+        assert outcome(check_codeword, form) == outcome(old_word, reference)
+        assert (outcome(codeword_display, form)
+                == outcome(old_codeword_display, reference))
 
 
 @given(st.lists(st.integers(), max_size=len(POW3)).map(tuple))
@@ -206,7 +230,14 @@ def test_value_matches_the_reference(c):
 @example("1" * (MAX_CODEWORD_LEN + 1))
 @example("1" * MAX_CODEWORD_LEN + "x")
 def test_from_display_matches_the_reference(s):
-    assert outcome(codeword_from_display, s) == outcome(old_codeword_from_display, s)
+    got = outcome(codeword_from_display, s)
+    reference = outcome(old_codeword_from_display, s)
+    if type(got) is bytes:
+        assert got == bytes(reference)
+        # displayed back from bytes and from the tuple
+        assert [codeword_display(form) for form in forms(got)] == [s, s]
+    else:
+        assert got == reference
 
 
 @pytest.mark.parametrize("c", [(1, True), (True,), (False,), (2, False),
@@ -225,18 +256,20 @@ def test_bool_and_float_digits_are_refused(c):
 
 @given(exhaustive_codes())
 def test_exhaustive_codes_pass(words):
-    assert code_violations(words) == old_code_violations(words) == []
+    assert code_violations(list(map(bytes, words))) == old_code_violations(
+        words) == []
 
 
 @settings(max_examples=300)
 @given(st.one_of(damaged_codes(), st.lists(codewords, max_size=12)))
 def test_code_violations_match_the_reference(words):
-    assert code_violations(words) == old_code_violations(words)
+    assert code_violations(list(map(bytes, words))) == old_code_violations(words)
 
 
 def test_non_exhaustive_message():
     words = [(1, 0), (1, 1)]
-    assert code_violations(words) == old_code_violations(words) == [Violation(
+    assert code_violations(list(map(bytes, words))) == old_code_violations(
+        words) == [Violation(
         None, None, None,
         "Kraft sum 2/9 + 1/3 = 5/9 != 1 (code not exhaustive)")]
 

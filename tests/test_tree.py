@@ -42,10 +42,10 @@ def _depth(key):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: grow_children((0,), 5),
+    (lambda: grow_children(bytes((0,)), 5),
      r"cannot grow from the reserved codeword \(0\)"),
-    (lambda: grow_children((1, 2), 0), "depth_cap must be >= 1"),
-    (lambda: next(walk_nodes((0,), 3)),
+    (lambda: grow_children(bytes((1, 2)), 0), "depth_cap must be >= 1"),
+    (lambda: next(walk_nodes(bytes((0,)), 3)),
      r"cannot walk the reserved codeword \(0\)"),
     (lambda: next(walk_integers(0, 3)), "root must be >= 1"),
     (lambda: count_structures(-1), "k must be >= 0"),
@@ -77,9 +77,9 @@ class TestGrowCritical:
 
     def test_rejects_reserved_digit(self):
         with pytest.raises(ValueError):
-            grow_record((0,), 5)
+            grow_record(bytes((0,)), 5)
         with pytest.raises(ValueError):
-            grow_record((1,), 5)            # level-0 word has nothing to find
+            grow_record(bytes((1,)), 5)     # level-0 word has nothing to find
 
     def test_witness_shape(self):
         # every witness has weight exactly l and ends with a 1-edge
