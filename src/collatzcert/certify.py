@@ -31,7 +31,6 @@ from .numth import (
     check_codeword,
     codeword_display,
     codeword_from_display,
-    codeword_of_int,
     codeword_value,
     t_map,
     trajectory,
@@ -522,11 +521,13 @@ class WitnessRecord:
 
 def _match_entry(entries: dict, n: int) -> CertificateEntry:
     """The entry whose codeword is a run of n's low ternary digits."""
-    word = codeword_of_int(n, MAX_CODEWORD_LEN)
-    for length in range(1, MAX_CODEWORD_LEN + 1):
-        entry = entries.get(word[:length])
-        if entry is not None:
-            return entry
+    word = b""
+    v = n
+    while len(word) < MAX_CODEWORD_LEN:
+        v, digit = divmod(v, 3)
+        word += bytes((digit,))
+        if word in entries:
+            return entries[word]
     raise ValueError(f"no codeword matches {n} (certificate not exhaustive?)")
 
 

@@ -3,11 +3,11 @@
 Forward iteration (trajectories and their statistics), the multivalued
 inverse map, and ternary codewords: validation, display and the residue
 class values they name.  A codeword is bytes, low digit first, so bytes
-order is canonical order, and ``check_codeword`` is the one place that
-makes one.  Codeword text is made and read by byte
-translation and checked by set and string operations, so a line of a
-certificate or checkpoint costs a few C-level calls, not a Python step per
-digit.
+order is canonical order.  ``check_codeword`` is the one place that
+validates a codeword from outside; the search extends checked words by one
+digit byte.  Codeword text is made and read by byte translation and checked
+by set and string operations, so a line of a certificate or checkpoint
+costs a few C-level calls, not a Python step per digit.
 All decisions are made in exact arithmetic; the only float anywhere is the
 log-scaled stopping ratio.
 """
@@ -134,7 +134,9 @@ def inverse_t(n: int) -> set[int]:
 
 def check_codeword(digits) -> bytes:
     """Validate a ternary codeword and return it as bytes, low digit first,
-    so that bytes order is canonical order: the one maker of a codeword.
+    so that bytes order is canonical order.  This is the one place that
+    validates a codeword from outside; ``codeword_of_int`` returns digits
+    unchecked, and the search extends checked words by one digit byte.
 
     The low digit names the class mod 3 and must be 1 or 2; the single
     reserved word (0) that completes the prefix code is also accepted.

@@ -207,7 +207,7 @@ class TestEntry:
         # word order is codeword order, and the path text gives the paths
         entries = [CertificateEntry(c, p) for c, p in pairs]
         by_word = sorted(entries, key=lambda e: e.word)
-        assert [e.word for e in by_word] == sorted(bytes(c) for c, _ in pairs)
+        assert [tuple(e.word) for e in by_word] == sorted(c for c, _ in pairs)
         cert = Certificate(Fraction(1, 3), "plain", entries)
         assert cert.sorted_canonically().entries == by_word
         every = [p for _, paths in pairs for p in paths]
